@@ -52,9 +52,9 @@ from .geometry import (
 from .models import (
     DiscreteOperatorA,
     EnergyModel,
+    IterateState,
     a0_form,
     a0_norm,
-    apply_a_phi,
     directional_derivative,
     energy,
     eigenvalues_at,

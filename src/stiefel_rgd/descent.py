@@ -4,7 +4,7 @@ with alternating Barzilai-Borwein trial steps, plus convergence diagnostics."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -13,8 +13,15 @@ from .directions import EXACT_GRAD, SearchDirection, compute_direction
 from .errors import NumericalError
 from .frames import Frame, GridSpec, inner_h, norm_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
-from .models import EnergyModel, energy, eigenvalues_at, residual
-from .models import a0_norm
+from .models import (
+    DiscreteOperatorA,
+    EnergyModel,
+    IterateState,
+    a0_norm,
+    energy,
+    multiplier_eigenvalues,
+    residual,
+)
 from .solvers import SolveConfig
 
 TERMINATION_RESIDUAL = "residual_tol"
@@ -117,24 +124,124 @@ def bb_trial_step(n: int, s: Frame, y: Frame, params: LineSearchParams) -> float
     return max(params.gamma_min, min(gamma, params.gamma_max))
 
 
-def _finalize(
+def _evaluate(model: EnergyModel, phi: Frame, e: float) -> IterateState:
+    """The state of iterate phi, whose energy ``e`` the caller has already.
+
+    Built here rather than by ``IterateState.at`` so that the residual goes
+    through this module's ``residual`` binding, which bench/spans.py wraps.
+    """
+    op = DiscreteOperatorA.at(model, phi)
+    a_phi = op.apply(phi)
+    r, lam = residual(model, phi, a_phi)
+    return IterateState(phi, op, a_phi, lam, r, norm_h(r), e)
+
+
+def _descend(
     model: EnergyModel,
-    phi: Frame,
-    history: List[IterationRecord],
-    converged: bool,
-    termination: str,
-    frames: Optional[List[Frame]],
-    directions: Optional[List[Frame]] = None,
+    phi0: Frame,
+    params: LineSearchParams,
+    fixed_tau: Optional[float],
+    direction_kind: str,
+    retraction: str,
+    tol: float,
+    max_iter: int,
+    config: SolveConfig,
+    fixed_iters: int,
+    log_frames: bool,
 ) -> RunResult:
-    return RunResult(
-        final_frame=phi,
-        eigenvalues=eigenvalues_at(model, phi),
-        history=history,
-        converged=converged,
-        termination=termination,
-        frames=frames,
-        directions=directions,
-    )
+    """The descent loop shared by both drivers.
+
+    With ``fixed_tau`` set, every step is taken at that size without an
+    acceptance test and the reference pair stays (c_n, q_n) = (E_n, 1).
+    Otherwise the trial step is the alternating BB step, backtracked until
+    the non-monotone Armijo condition holds. Each visited iterate is
+    evaluated once; an accepted trial carries its energy into its state.
+    """
+    history: List[IterationRecord] = []
+    frames: Optional[List[Frame]] = [] if log_frames else None
+    directions: Optional[List[Frame]] = [] if log_frames else None
+    state = _evaluate(model, phi0, energy(model, phi0))
+    prev_phi: Optional[Frame] = None
+    prev_eta: Optional[SearchDirection] = None
+    c, q = state.energy, 1.0
+    t0 = time.perf_counter()
+
+    def finish(converged: bool, termination: str) -> RunResult:
+        return RunResult(
+            final_frame=state.phi,
+            eigenvalues=multiplier_eigenvalues(model, state.lam),
+            history=history,
+            converged=converged,
+            termination=termination,
+            frames=frames,
+            directions=directions,
+        )
+
+    for n in range(max_iter + 1):
+        phi, e, res_norm = state.phi, state.energy, state.res_norm
+        if frames is not None:
+            frames.append(phi)
+        try:
+            sd = compute_direction(model, phi, direction_kind, config, fixed_iters,
+                                   state=state)
+        except NumericalError:
+            history.append(
+                IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, c, q,
+                                time.perf_counter() - t0)
+            )
+            return finish(False, TERMINATION_DEGENERATE)
+        grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
+        if directions is not None:
+            directions.append(sd.direction)
+
+        converged = res_norm <= tol
+        if converged or n == max_iter:
+            history.append(
+                IterationRecord(n, e, res_norm, grad_norm, 0.0, 0, sd.inner_effort,
+                                c, q, time.perf_counter() - t0)
+            )
+            return finish(converged, TERMINATION_RESIDUAL if converged
+                          else TERMINATION_MAX_ITER)
+
+        max_backtracks = 0 if fixed_tau is not None else params.max_backtracks
+        if fixed_tau is not None:
+            gamma = fixed_tau
+        elif n == 0:
+            gamma = max(params.gamma_min, min(params.gamma0, params.gamma_max))
+        else:
+            s = phi - prev_phi
+            y = prev_eta.direction - sd.direction
+            gamma = bb_trial_step(n, s, y, params)
+
+        accepted = None
+        backtracks = 0
+        tau = gamma
+        for k in range(max_backtracks + 1):
+            tau = gamma * params.delta**k
+            candidate = retract(phi, tau * sd.direction, retraction)
+            e_trial = energy(model, candidate)
+            if (fixed_tau is not None
+                    or e_trial <= c - params.beta * tau * sd.gram_of_direction):
+                accepted = candidate
+                backtracks = k
+                break
+        history.append(
+            IterationRecord(n, e, res_norm, grad_norm,
+                            tau if accepted is not None else 0.0,
+                            backtracks if accepted is not None else max_backtracks,
+                            sd.inner_effort, c, q, time.perf_counter() - t0)
+        )
+        if accepted is None:
+            return finish(False, TERMINATION_LINE_SEARCH)
+
+        prev_phi, prev_eta = phi, sd
+        state = _evaluate(model, accepted, e_trial)
+        if fixed_tau is not None:
+            c, q = state.energy, 1.0
+        else:
+            c, q = nonmonotone_update(c, q, params.alpha, state.energy)
+
+    raise AssertionError("unreachable")
 
 
 def rgd_fixed_step(
@@ -151,41 +258,8 @@ def rgd_fixed_step(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     config = solver_config if solver_config is not None else SolveConfig()
-    phi = phi0
-    history: List[IterationRecord] = []
-    frames: Optional[List[Frame]] = [] if log_frames else None
-    t0 = time.perf_counter()
-
-    for n in range(max_iter + 1):
-        e = energy(model, phi)
-        r, _ = residual(model, phi)
-        res_norm = norm_h(r)
-        try:
-            sd = compute_direction(model, phi, EXACT_GRAD, config)
-        except NumericalError:
-            history.append(
-                IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, e, 1.0,
-                                time.perf_counter() - t0)
-            )
-            if frames is not None:
-                frames.append(phi)
-            return _finalize(model, phi, history, False, TERMINATION_DEGENERATE, frames)
-        grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
-        converged = res_norm <= tol
-        step = 0.0 if (converged or n == max_iter) else tau
-        history.append(
-            IterationRecord(n, e, res_norm, grad_norm, step, 0, sd.inner_effort,
-                            e, 1.0, time.perf_counter() - t0)
-        )
-        if frames is not None:
-            frames.append(phi)
-        if converged:
-            return _finalize(model, phi, history, True, TERMINATION_RESIDUAL, frames)
-        if n == max_iter:
-            return _finalize(model, phi, history, False, TERMINATION_MAX_ITER, frames)
-        phi = retract(phi, tau * sd.direction, retraction)
-
-    raise AssertionError("unreachable")
+    return _descend(model, phi0, LineSearchParams(), tau, EXACT_GRAD, retraction,
+                    tol, max_iter, config, 3, log_frames)
 
 
 def rgd_line_search(
@@ -209,78 +283,8 @@ def rgd_line_search(
     """
     params = params if params is not None else LineSearchParams()
     config = solver_config if solver_config is not None else SolveConfig()
-    phi = phi0
-    history: List[IterationRecord] = []
-    frames: Optional[List[Frame]] = [] if log_frames else None
-    directions: Optional[List[Frame]] = [] if log_frames else None
-    prev_phi: Optional[Frame] = None
-    prev_eta: Optional[SearchDirection] = None
-    c = energy(model, phi)
-    q = 1.0
-    t0 = time.perf_counter()
-
-    for n in range(max_iter + 1):
-        e = energy(model, phi)
-        r, _ = residual(model, phi)
-        res_norm = norm_h(r)
-        try:
-            sd = compute_direction(model, phi, direction_kind, config, fixed_iters)
-        except NumericalError:
-            history.append(
-                IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, c, q,
-                                time.perf_counter() - t0)
-            )
-            if frames is not None:
-                frames.append(phi)
-            return _finalize(model, phi, history, False, TERMINATION_DEGENERATE,
-                             frames, directions)
-        grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
-        if frames is not None:
-            frames.append(phi)
-            directions.append(sd.direction)
-
-        converged = res_norm <= tol
-        if converged or n == max_iter:
-            history.append(
-                IterationRecord(n, e, res_norm, grad_norm, 0.0, 0, sd.inner_effort,
-                                c, q, time.perf_counter() - t0)
-            )
-            termination = TERMINATION_RESIDUAL if converged else TERMINATION_MAX_ITER
-            return _finalize(model, phi, history, converged, termination,
-                             frames, directions)
-
-        if n == 0:
-            gamma = max(params.gamma_min, min(params.gamma0, params.gamma_max))
-        else:
-            s = phi - prev_phi
-            y = prev_eta.direction - sd.direction
-            gamma = bb_trial_step(n, s, y, params)
-
-        accepted = None
-        backtracks = 0
-        tau = gamma
-        for k in range(params.max_backtracks + 1):
-            tau = gamma * params.delta**k
-            candidate = retract(phi, tau * sd.direction, retraction)
-            if energy(model, candidate) <= c - params.beta * tau * sd.gram_of_direction:
-                accepted = candidate
-                backtracks = k
-                break
-        history.append(
-            IterationRecord(n, e, res_norm, grad_norm,
-                            tau if accepted is not None else 0.0,
-                            backtracks if accepted is not None else params.max_backtracks,
-                            sd.inner_effort, c, q, time.perf_counter() - t0)
-        )
-        if accepted is None:
-            return _finalize(model, phi, history, False, TERMINATION_LINE_SEARCH,
-                             frames, directions)
-
-        prev_phi, prev_eta = phi, sd
-        phi = accepted
-        c, q = nonmonotone_update(c, q, params.alpha, energy(model, phi))
-
-    raise AssertionError("unreachable")
+    return _descend(model, phi0, params, None, direction_kind, retraction, tol,
+                    max_iter, config, fixed_iters, log_frames)
 
 
 def diagnostics_a2_a3(model: EnergyModel, result: RunResult) -> Tuple[np.ndarray, np.ndarray]:

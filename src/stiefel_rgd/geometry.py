@@ -136,11 +136,6 @@ def retract_qr_mgs(v: Frame) -> Tuple[Frame, np.ndarray]:
     return Frame(q, v.grid), r
 
 
-def retract_qr(phi: Frame, eta: Frame) -> Frame:
-    q, _ = retract_qr_mgs(phi + eta)
-    return q
-
-
 def retract_qr_cholesky(phi: Frame, eta: Frame) -> Frame:
     """qR retraction computed via Cholesky of the Gram matrix."""
     moved = phi + eta
@@ -157,7 +152,7 @@ def retract(phi: Frame, eta: Frame, kind: str = POLAR) -> Frame:
     if kind == POLAR:
         return retract_polar(phi, eta)
     if kind == QR_MGS:
-        return retract_qr(phi, eta)
+        return retract_qr_mgs(phi + eta)[0]
     if kind == QR_CHOLESKY:
         return retract_qr_cholesky(phi, eta)
     raise ValueError(f"unknown retraction {kind!r}; pick one of {RETRACTION_KINDS}")

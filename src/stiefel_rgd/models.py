@@ -9,15 +9,25 @@ multi-orbital model on the Stiefel manifold.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence, Union
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import OperatorNotSPDError, ShapeError
-from .frames import DIRICHLET, Frame, GridSpec, density, inner_h, multiply_right, outer_product
+from .frames import (
+    DIRICHLET,
+    Frame,
+    GridSpec,
+    density,
+    inner_h,
+    multiply_right,
+    norm_h,
+    outer_product,
+)
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +45,32 @@ def laplacian(grid: GridSpec) -> sp.csr_matrix:
         return lap1
     eye = sp.identity(n, format="csr")
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+
+
+class _OperatorPattern(NamedTuple):
+    """The stencil stored on the CSR pattern every anchored operator shares."""
+
+    stencil: sp.csr_matrix
+    diagonal_slots: np.ndarray  # positions of the diagonal entries in ``stencil.data``
+
+
+@lru_cache(maxsize=None)
+def _operator_pattern(grid: GridSpec) -> _OperatorPattern:
+    """The stencil on the pattern of ``laplacian(grid) + I``.
+
+    Adding a diagonal to ``stencil.data`` in the ``diagonal_slots`` gives the
+    same ``indptr``, ``indices`` and ``data`` as the sparse sum
+    ``laplacian(grid) + sp.diags(diagonal)``, because the stencil diagonal is
+    nonzero and every entry is one floating-point addition either way.
+    """
+    lap = laplacian(grid)
+    stencil = lap + sp.identity(grid.n_dof, format="csr")
+    rows = np.repeat(np.arange(grid.n_dof), np.diff(stencil.indptr))
+    slots = np.flatnonzero(stencil.indices == rows)
+    stencil.data[slots] = lap.diagonal()
+    for array in (stencil.indptr, stencil.indices, stencil.data, slots):
+        array.setflags(write=False)
+    return _OperatorPattern(stencil, slots)
 
 
 def potential_zero(grid: GridSpec) -> np.ndarray:
@@ -111,10 +147,18 @@ class EnergyModel:
     def gamma_primitive(self, rho: np.ndarray) -> np.ndarray:
         return 0.5 * self.kappa * rho**2
 
+    @cached_property
+    def _linear_part(self) -> sp.csr_matrix:
+        return laplacian(self.grid) + sp.diags(self.potential, format="csr")
+
 
 def linear_part_matrix(model: EnergyModel) -> sp.csr_matrix:
-    """Stencil plus external potential, without nonlinearity or shift."""
-    return laplacian(model.grid) + sp.diags(model.potential, format="csr")
+    """Stencil plus external potential, without nonlinearity or shift.
+
+    Assembled on first use and then kept on the model; callers must not
+    modify the returned matrix.
+    """
+    return model._linear_part
 
 
 def validate_coercivity(model: EnergyModel, max_dense: int = 8192) -> None:
@@ -154,8 +198,12 @@ class DiscreteOperatorA:
         if phi.grid != model.grid:
             raise ShapeError("anchor frame lives on a different grid")
         rho = density(phi)
-        diag = model.potential + model.gamma(rho) + model.shift
-        matrix = laplacian(model.grid) + sp.diags(diag, format="csr")
+        pattern = _operator_pattern(model.grid)
+        data = pattern.stencil.data.copy()
+        data[pattern.diagonal_slots] += model.potential + model.gamma(rho) + model.shift
+        # A shallow copy shares the read-only index arrays of the pattern.
+        matrix = copy.copy(pattern.stencil)
+        matrix.data = data
         return cls(model=model, rho=rho, matrix=matrix)
 
     @property
@@ -177,10 +225,6 @@ class DiscreteOperatorA:
 
     def norm_a(self, v: Frame) -> float:
         return float(np.sqrt(max(self.bilinear(v, v), 0.0)))
-
-
-def apply_a_phi(op: DiscreteOperatorA, v: Frame) -> Frame:
-    return op.apply(v)
 
 
 def a0_form(model: EnergyModel, v: Frame, w: Frame) -> float:
@@ -207,22 +251,60 @@ def directional_derivative(model: EnergyModel, phi: Frame, v: Frame) -> float:
     return op.bilinear_unshifted(phi, v)
 
 
-def residual(model: EnergyModel, phi: Frame) -> "tuple[Frame, np.ndarray]":
+def residual(
+    model: EnergyModel, phi: Frame, a_phi: Optional[Frame] = None
+) -> "tuple[Frame, np.ndarray]":
     """Eigenvector-equation defect r = A phi - phi Lambda and the multiplier.
 
     Lambda includes the shift; subtract shift * I for reported eigenvalues.
     The H-norm of r is the convergence monitor: it vanishes exactly at
-    critical points of the energy.
+    critical points of the energy. ``a_phi`` is A phi when already known.
     """
-    op = DiscreteOperatorA.at(model, phi)
-    a_phi = op.apply(phi)
+    if a_phi is None:
+        a_phi = DiscreteOperatorA.at(model, phi).apply(phi)
     lam = outer_product(phi, a_phi)
     r = a_phi - multiply_right(phi, lam)
     return r, lam
 
 
+def multiplier_eigenvalues(model: EnergyModel, lam: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a multiplier matrix, with the shift removed."""
+    lam_sym = 0.5 * (lam + lam.T) - model.shift * np.eye(lam.shape[0])
+    return np.linalg.eigvalsh(lam_sym)
+
+
 def eigenvalues_at(model: EnergyModel, phi: Frame) -> np.ndarray:
     """Ascending eigenvalues of the (unshifted) multiplier matrix."""
     _, lam = residual(model, phi)
-    lam_sym = 0.5 * (lam + lam.T) - model.shift * np.eye(phi.n_orbitals)
-    return np.linalg.eigvalsh(lam_sym)
+    return multiplier_eigenvalues(model, lam)
+
+
+@dataclass(frozen=True, eq=False)
+class IterateState:
+    """Everything derived from one iterate, evaluated once and then shared.
+
+    Holds the iterate, its anchored operator (which carries the density),
+    A phi, the multiplier Lambda = [[phi, A phi]], the residual
+    r = A phi - phi Lambda with its H-norm, and the energy. The descent
+    driver builds one per visited iterate and hands it to the direction,
+    the non-monotone update and the final report.
+    """
+
+    phi: Frame
+    op: DiscreteOperatorA
+    a_phi: Frame
+    lam: np.ndarray
+    r: Frame
+    res_norm: float
+    energy: float
+
+    @classmethod
+    def at(cls, model: EnergyModel, phi: Frame) -> "IterateState":
+        op = DiscreteOperatorA.at(model, phi)
+        a_phi = op.apply(phi)
+        r, lam = residual(model, phi, a_phi)
+        return cls(phi, op, a_phi, lam, r, norm_h(r), energy(model, phi))
+
+    def derivative(self, v: Frame) -> float:
+        """First variation of the energy at phi along v, from the cached A phi."""
+        return inner_h(self.a_phi, v) - self.op.model.shift * inner_h(self.phi, v)

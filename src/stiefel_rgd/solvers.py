@@ -73,28 +73,23 @@ def _kinetic_shift_factorization(grid: GridSpec, c0: float):
     return spla.splu(mat)
 
 
-def apply_preconditioner(kind: str, op: DiscreteOperatorA, r: Frame) -> Frame:
-    """Apply the chosen preconditioner to every column of a residual frame."""
-    if kind == PRECONDITIONER_NONE:
-        return r
-    if kind == PRECONDITIONER_DIAGONAL:
-        return Frame(r.values / op.diagonal[:, None], r.grid)
-    if kind == PRECONDITIONER_KINETIC_SHIFT:
-        lu = _kinetic_shift_factorization(op.model.grid, KINETIC_SHIFT_C0)
-        return Frame(lu.solve(np.asarray(r.values)), r.grid)
-    raise ValueError(f"unknown preconditioner {kind!r}")
-
-
 def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndarray], np.ndarray]:
+    """The chosen preconditioner as a map on one column or a block of columns."""
     if kind == PRECONDITIONER_NONE:
         return lambda r: r
     if kind == PRECONDITIONER_DIAGONAL:
         diag = op.diagonal
-        return lambda r: r / diag
+        return lambda r: (r.T / diag).T
     if kind == PRECONDITIONER_KINETIC_SHIFT:
         lu = _kinetic_shift_factorization(op.model.grid, KINETIC_SHIFT_C0)
         return lambda r: lu.solve(r)
     raise ValueError(f"unknown preconditioner {kind!r}")
+
+
+def apply_preconditioner(kind: str, op: DiscreteOperatorA, r: Frame) -> Frame:
+    """Apply the chosen preconditioner to every column of a residual frame."""
+    values = _preconditioner_apply(kind, op)(r.values)
+    return r if values is r.values else Frame(values, r.grid)
 
 
 def _pcg_column(

@@ -311,3 +311,51 @@ class TestOtherDiscretizations:
         )
         assert run.converged
         assert np.all(np.diff(run.eigenvalues) >= 0)
+
+
+class TestEvaluationCounts:
+    """Each visited iterate is evaluated once: one energy per trial step plus
+    the start, and one anchored operator per iterate."""
+
+    @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
+    def test_one_evaluation_per_iterate(self, method, monkeypatch):
+        import stiefel_rgd.descent as descent
+        import stiefel_rgd.directions as directions
+
+        counts = {"energy": 0, "at": 0, "inexact": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(descent, "energy", counted("energy", descent.energy))
+        monkeypatch.setattr(DiscreteOperatorA, "at", classmethod(
+            counted("at", DiscreteOperatorA.__dict__["at"].__func__)))
+        monkeypatch.setattr(directions, "inexact_gradient",
+                            counted("inexact", directions.inexact_gradient))
+
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+        phi0 = initial_frame(model.grid, 3, 3)
+        config = reference_solver_config()
+        if method == "rgd_fixed":
+            run = rgd_fixed_step(model, phi0, FIXED_TAU, max_iter=30, solver_config=config)
+        else:
+            kind = {"rgd_ls": "exact_grad", "rgd_ls_inexact": "inexact_grad",
+                    "dcm": "dcm"}[method]
+            # Trial steps far too long for the exact gradient, so it backtracks.
+            params = (LineSearchParams(gamma0=8.0, gamma_min=4.0, gamma_max=8.0)
+                      if method == "rgd_ls" else None)
+            run = rgd_line_search(model, phi0, params=params, direction_kind=kind,
+                                  max_iter=60, solver_config=config)
+
+        assert run.termination in (TERMINATION_RESIDUAL, TERMINATION_MAX_ITER)
+        trials = sum(rec.backtracks + 1 for rec in run.history[:-1])
+        assert counts["energy"] == 1 + trials
+        assert counts["at"] == len(run.history)
+        if method == "rgd_ls":
+            assert trials > run.iterations
+        if method == "rgd_ls_inexact":
+            # The safeguard discarded attempts at some iterates.
+            assert counts["inexact"] > len(run.history)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stiefel_rgd import (
     DiscreteOperatorA,
@@ -159,6 +160,31 @@ class TestOperator:
             validate_coercivity(bad)
         good = EnergyModel(grid, well, kappa=0.0, shift=1001.0, n_orbitals=1)
         validate_coercivity(good)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+    def test_anchored_matrix_equals_assembled_sum(self, dimension, boundary, rng):
+        grid = GridSpec(dimension, 9, 1.0, boundary)
+        model = EnergyModel(grid, potential_harmonic(grid, 7.0), kappa=13.0,
+                            shift=2.5, n_orbitals=2)
+        phi = random_frame(grid, 2, rng)
+        op = DiscreteOperatorA.at(model, phi)
+        rho = np.einsum("ij,ij->i", phi.values, phi.values)
+        diag = model.potential + model.kappa * rho + model.shift
+        assembled = laplacian(grid) + sp.diags(diag, format="csr")
+        assert np.array_equal(op.matrix.indptr, assembled.indptr)
+        assert np.array_equal(op.matrix.indices, assembled.indices)
+        assert np.array_equal(op.matrix.data, assembled.data)
+
+    def test_linear_part_cached_per_model(self):
+        grid = GridSpec(1, 12, 1.0)
+        trap = EnergyModel(grid, potential_harmonic(grid, 5.0))
+        well = EnergyModel(grid, potential_well(grid, depth=-3.0, width=0.5))
+        assert linear_part_matrix(trap) is linear_part_matrix(trap)
+        assert not np.array_equal(linear_part_matrix(trap).toarray(),
+                                  linear_part_matrix(well).toarray())
+        expected = laplacian(grid) + sp.diags(well.potential, format="csr")
+        assert np.array_equal(linear_part_matrix(well).toarray(), expected.toarray())
 
 
 class TestDirectionalDerivative:
