@@ -47,9 +47,9 @@ def is_on_stiefel(phi: Frame, tol: float) -> bool:
     return gram_defect(phi) <= tol
 
 
-def is_tangent(phi: Frame, eta: Frame, tol: float) -> TangentCheckReport:
-    """Report tangency defects; the caller compares ``skew_defect`` with tol."""
-    del tol  # threshold applied by the caller via TangentCheckReport.within
+def is_tangent(phi: Frame, eta: Frame) -> TangentCheckReport:
+    """Report tangency defects; the caller compares ``skew_defect`` with its
+    tolerance, e.g. via ``TangentCheckReport.within``."""
     skew = outer_product(eta, phi) + outer_product(phi, eta)
     return TangentCheckReport(
         skew_defect=float(np.linalg.norm(skew)),

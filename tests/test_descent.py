@@ -277,7 +277,7 @@ class TestDiagnostics:
             run = runs["rgd_ls"]
             for frame, direction in zip(run.frames, run.directions):
                 # ten times the 1e-8 inner-solve tolerance
-                assert is_tangent(frame, direction, 0.0).skew_defect <= 1e-7
+                assert is_tangent(frame, direction).skew_defect <= 1e-7
 
 
 class TestOtherDiscretizations:

@@ -58,7 +58,7 @@ class TestExactGradient:
 
     def test_tangency(self, model, phi):
         sd = riemannian_gradient(model, phi, DIRECT)
-        assert is_tangent(phi, sd.direction, 0.0).skew_defect <= 1e-10
+        assert is_tangent(phi, sd.direction).skew_defect <= 1e-10
 
     def test_single_orbital_saddle_cross_check(self, rng):
         model = make_model(n=64, length=1.0, omega=10.0, kappa=50.0, n_orbitals=1)

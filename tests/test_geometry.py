@@ -64,18 +64,18 @@ class TestMembership:
 
 class TestTangency:
     def test_zero_direction(self, phi):
-        report = is_tangent(phi, 0.0 * phi, 1e-10)
+        report = is_tangent(phi, 0.0 * phi)
         assert report.skew_defect == 0.0
         assert report.within(1e-10)
 
     def test_frame_itself_not_tangent(self, phi):
-        report = is_tangent(phi, phi, 1e-10)
+        report = is_tangent(phi, phi)
         assert report.skew_defect == pytest.approx(2.0 * np.sqrt(2), abs=1e-10)
         assert not report.within(1e-10)
 
     def test_projected_vector_is_tangent(self, model, phi, rng):
         eta = random_tangent(model, phi, rng)
-        assert is_tangent(phi, eta, 1e-10).within(1e-10)
+        assert is_tangent(phi, eta).within(1e-10)
 
 
 class TestLyapunov:
@@ -131,7 +131,7 @@ class TestProjectTangent:
         v = random_frame(model.grid, 2, rng)
         p = project_tangent(phi, v, solve)
         eta = random_tangent(model, phi, rng)
-        assert is_tangent(phi, p, 0.0).skew_defect <= 1e-10
+        assert is_tangent(phi, p).skew_defect <= 1e-10
         assert abs(op.bilinear(v - p, eta)) <= 1e-10 * norm_h(v) * norm_h(eta)
         assert norm_h(project_tangent(phi, p, solve) - p) <= 1e-10
 

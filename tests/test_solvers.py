@@ -1,4 +1,4 @@
-"""Columnwise CG and dense solves, preconditioners, and their agreement."""
+"""Blocked CG and dense solves, preconditioners, and their agreement."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from stiefel_rgd import (
     solve,
     zero_frame,
 )
+from stiefel_rgd import solvers
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.geometry import retract_qr_mgs
 
@@ -45,6 +46,49 @@ def identity_operator(model):
     return DiscreteOperatorA(
         model=model, rho=np.zeros(nd), matrix=sp.identity(nd, format="csr")
     )
+
+
+def mixed_block(grid, rng):
+    """Four right-hand sides that CG treats differently: a random column,
+    a zero column, a smooth column and a random column scaled by 1e3."""
+    values = rng.standard_normal((grid.n_dof, 4))
+    values[:, 1] = 0.0
+    values[:, 2] = np.prod(np.sin(np.pi * grid.coordinates()), axis=1)
+    values[:, 3] *= 1e3
+    return Frame(values, grid)
+
+
+def reference_pcg(matrix, b, x0, apply_m, rel_tol, max_iters, fixed_iters):
+    """PCG on one column as a plain loop: the reference the blocked solver
+    must reproduce. Tolerance mode accepts the recursive residual only once
+    the true residual confirms it."""
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0
+    x = x0.copy()
+    r = b - matrix @ x
+    z = apply_m(r)
+    p = z.copy()
+    rz = np.dot(r, z)
+    iterations = 0
+    while iterations < (fixed_iters or max_iters) and rz != 0.0:
+        ap = matrix @ p
+        alpha = rz / np.dot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        iterations += 1
+        if fixed_iters is None and np.linalg.norm(r) <= rel_tol * b_norm:
+            r = b - matrix @ x
+            if np.linalg.norm(r) <= rel_tol * b_norm:
+                break
+        z = apply_m(r)
+        rz, rz_old = np.dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x, iterations
+
+
+def column(frame, j):
+    return None if frame is None else Frame(frame.values[:, [j]], frame.grid)
 
 
 class TestSolveConfig:
@@ -81,8 +125,10 @@ class TestSolve:
     def test_cg_matches_dense(self, op, model, rng):
         b = random_frame(model.grid, 2, rng)
         x_cg, _ = solve(op, b, SolveConfig(rel_tol=1e-10, max_iters=2000))
-        x_dd, _ = solve(op, b, SolveConfig(method="direct_dense"))
+        x_dd, dd_report = solve(op, b, SolveConfig(method="direct_dense"))
         assert norm_h(x_cg - x_dd) <= 1e-7 * norm_h(x_dd)
+        assert dd_report.iterations_per_column == [0, 0]
+        assert max(dd_report.final_relative_residuals) <= 1e-12
 
     def test_residual_bound_remeasured(self, op, model, rng):
         b = random_frame(model.grid, 2, rng)
@@ -143,6 +189,84 @@ class TestSolve:
         op = DiscreteOperatorA.at(model, anchor)
         with pytest.raises(Exception, match="dense"):
             solve(op, anchor, SolveConfig(method="direct_dense"))
+
+
+class TestBlockedColumns:
+    """One blocked PCG serves all columns; each column must still run its
+    own recursion, as if it were solved alone."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("fixed_iters", [None, 5])
+    @pytest.mark.parametrize("kind", solvers.PRECONDITIONER_KINDS)
+    def test_columns_are_independent_1d(self, op, model, rng, kind, fixed_iters, warm):
+        b = mixed_block(model.grid, rng)
+        x0 = None
+        if warm:
+            # Random starts, but column 3 starts next to its solution and
+            # so stops earlier than the others in tolerance mode.
+            exact, _ = solve(op, b, SolveConfig(method="direct_dense"))
+            x0 = rng.standard_normal((model.grid.n_dof, 4))
+            x0[:, 3] = exact.values[:, 3] * (1.0 + 1e-6 * rng.standard_normal(model.grid.n_dof))
+            x0 = Frame(x0, model.grid)
+        config = SolveConfig(
+            rel_tol=1e-8, max_iters=2000, fixed_iters=fixed_iters, preconditioner=kind
+        )
+        x, report = solve(op, b, config, warm_start=x0)
+        apply_m = solvers._preconditioner_apply(kind, op)
+        for j in range(4):
+            alone, alone_report = solve(op, column(b, j), config, warm_start=column(x0, j))
+            assert alone_report.iterations_per_column == [report.iterations_per_column[j]]
+            assert np.array_equal(alone.values[:, 0], x.values[:, j])
+            start = np.zeros(model.grid.n_dof) if x0 is None else x0.values[:, j].copy()
+            ref, ref_iters = reference_pcg(
+                op.matrix, b.values[:, j], start, apply_m, config.rel_tol,
+                config.max_iters, fixed_iters,
+            )
+            assert ref_iters == report.iterations_per_column[j]
+            assert np.array_equal(ref, x.values[:, j])
+        assert report.iterations_per_column[1] == 0
+        if warm and fixed_iters is None:
+            assert len(set(report.iterations_per_column)) == 3
+
+    @pytest.mark.parametrize("fixed_iters", [None, 5])
+    def test_columns_are_independent_2d(self, rng, fixed_iters):
+        # The blocked kinetic-shift solve may differ from single-column
+        # solves in the last bits in 2D, so values agree to the tolerance.
+        model = make_model(n=24, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+        anchor, _ = retract_qr_mgs(random_frame(model.grid, 4, rng))
+        op = DiscreteOperatorA.at(model, anchor)
+        b = mixed_block(model.grid, rng)
+        config = SolveConfig(
+            rel_tol=1e-8, max_iters=500, fixed_iters=fixed_iters,
+            preconditioner="kinetic_shift",
+        )
+        x, report = solve(op, b, config)
+        for j in range(4):
+            alone, alone_report = solve(op, column(b, j), config)
+            assert alone_report.iterations_per_column == [report.iterations_per_column[j]]
+            diff = np.linalg.norm(alone.values[:, 0] - x.values[:, j])
+            assert diff <= 10 * config.rel_tol * np.linalg.norm(alone.values[:, 0])
+
+    def test_fixed_mode_applies_preconditioner_once_per_step(self, op, model, rng,
+                                                             monkeypatch):
+        calls = []
+        make_applier = solvers._preconditioner_apply
+
+        def counting(kind, op):
+            apply_m = make_applier(kind, op)
+
+            def counted(r):
+                calls.append(r.shape)
+                return apply_m(r)
+
+            return counted
+
+        monkeypatch.setattr(solvers, "_preconditioner_apply", counting)
+        b = random_frame(model.grid, 4, rng)
+        _, report = solve(op, b, SolveConfig(fixed_iters=3, preconditioner="kinetic_shift"))
+        assert report.iterations_per_column == [3, 3, 3, 3]
+        assert calls == [(model.grid.n_dof, 4)] * 3
 
 
 class TestPreconditioners:
