@@ -18,6 +18,7 @@ from stiefel_rgd import (
     rgd_fixed_step,
     rgd_line_search,
 )
+from stiefel_rgd.frames import DIRICHLET
 from stiefel_rgd.models import DiscreteOperatorA
 from stiefel_rgd.solvers import dense_inverse_applier
 
@@ -31,8 +32,9 @@ FIXED_TAU = 0.1
 INEXACT_ITERS = 3
 
 
-def make_model(n, length, omega, kappa, n_orbitals, seed=None, shift=0.0, dimension=1):
-    grid = GridSpec(dimension, n, length)
+def make_model(n, length, omega, kappa, n_orbitals, seed=None, shift=0.0, dimension=1,
+               boundary=DIRICHLET):
+    grid = GridSpec(dimension, n, length, boundary)
     return EnergyModel(
         grid, potential_harmonic(grid, omega), kappa=kappa, shift=shift,
         n_orbitals=n_orbitals,

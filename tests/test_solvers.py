@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stiefel_rgd import (
     ConvergenceError,
@@ -18,7 +19,9 @@ from stiefel_rgd import (
 )
 from stiefel_rgd import solvers
 from stiefel_rgd.errors import OperatorNotSPDError
+from stiefel_rgd.frames import DIRICHLET, PERIODIC
 from stiefel_rgd.geometry import retract_qr_mgs
+from stiefel_rgd.models import laplacian
 
 from conftest import make_model
 
@@ -248,6 +251,34 @@ class TestBlockedColumns:
             diff = np.linalg.norm(alone.values[:, 0] - x.values[:, j])
             assert diff <= 10 * config.rel_tol * np.linalg.norm(alone.values[:, 0])
 
+    @pytest.mark.parametrize("fixed_iters", [None, 5])
+    def test_columns_are_bitwise_independent_2d(self, rng, fixed_iters):
+        # The 2D kinetic-shift inverse runs a separate matmul slab per
+        # column, so the blocked solve reproduces single-column solves and
+        # the plain-loop reference bit for bit.
+        model = make_model(n=24, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+        anchor, _ = retract_qr_mgs(random_frame(model.grid, 4, rng))
+        op = DiscreteOperatorA.at(model, anchor)
+        b = mixed_block(model.grid, rng)
+        config = SolveConfig(
+            rel_tol=1e-8, max_iters=500, fixed_iters=fixed_iters,
+            preconditioner="kinetic_shift",
+        )
+        x, report = solve(op, b, config)
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        for j in range(4):
+            alone, alone_report = solve(op, column(b, j), config)
+            assert alone_report.iterations_per_column == [report.iterations_per_column[j]]
+            assert np.array_equal(alone.values[:, 0], x.values[:, j])
+            ref, ref_iters = reference_pcg(
+                op.matrix, b.values[:, j], np.zeros(model.grid.n_dof), apply_m,
+                config.rel_tol, config.max_iters, fixed_iters,
+            )
+            assert ref_iters == report.iterations_per_column[j]
+            assert np.array_equal(ref, x.values[:, j])
+        assert report.iterations_per_column[1] == 0
+
     def test_fixed_mode_applies_preconditioner_once_per_step(self, op, model, rng,
                                                              monkeypatch):
         calls = []
@@ -285,6 +316,38 @@ class TestPreconditioners:
         out = apply_preconditioner("diagonal", scaled, r)
         assert np.allclose(out.values, r.values / 4.0)
         assert norm_h(apply_preconditioner("diagonal", op, r) - r) == 0.0
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("n_cols", [1, 4])
+    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+    def test_kinetic_shift_is_exact_inverse_2d(self, rng, boundary, n_cols, order):
+        model = make_model(n=24, length=1.0, omega=10.0, kappa=100.0, n_orbitals=n_cols,
+                           dimension=2, boundary=boundary)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, n_cols, rng))
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        shifted = (laplacian(grid) + sp.identity(grid.n_dof)).toarray()
+        r = np.array(rng.standard_normal((grid.n_dof, n_cols)), order=order)
+        out = apply_m(r)
+        expected = np.linalg.solve(shifted, r)
+        assert out.shape == r.shape
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+        # Symmetric up to round-off: <u, M v> = <M u, v>.
+        u, v = rng.standard_normal((2, grid.n_dof))
+        lhs, rhs = np.dot(u, apply_m(v)), np.dot(apply_m(u), v)
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(apply_m(v))
+
+    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+    def test_kinetic_shift_is_superlu_solve_1d(self, rng, boundary):
+        model = make_model(n=64, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4,
+                           boundary=boundary)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        lu = spla.splu((laplacian(grid) + sp.identity(grid.n_dof)).tocsc())
+        r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
+        assert np.array_equal(apply_m(r), lu.solve(r))
+        assert np.array_equal(apply_m(r[:, 0]), lu.solve(r[:, 0]))
 
     def test_kinetic_shift_reduces_iterations(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
