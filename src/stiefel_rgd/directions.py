@@ -52,27 +52,25 @@ def riemannian_gradient(
 
     Solves A X = phi to the configured tolerance, then eta = X G^{-1} - phi
     with G the Gram matrix of phi against X. The result is tangent up to
-    the linear-solve tolerance. ``state`` is the already evaluated iterate
-    phi, if any; the other directions take it too.
+    the linear-solve tolerance. The Krylov solve starts from the iterate's
+    multiplier warm start phi Lambda^{-1} (``IterateState``), whose
+    residual -r Lambda^{-1} vanishes with the eigenvector residual r; for
+    orthonormal phi, X G^{-1} - phi vanishes at that guess, so the direction
+    is carried by the CG correction alone. ``state`` is the already
+    evaluated iterate phi, if any; the other directions take it too.
     """
     if config.fixed_iters is not None:
         raise ValueError("the exact gradient requires a tolerance-mode solver config")
-    op = _anchor(model, phi, state).op
-    x, report = solve(op, phi, config)
+    state = _anchor(model, phi, state)
+    x, report = solve(state.op, phi, config, warm_start=state.multiplier_warm_start)
     psi = _gram_inverse_mix(x, phi)
     eta = psi - phi
     return SearchDirection(
         direction=eta,
-        gram_of_direction=op.bilinear(eta, eta),
+        gram_of_direction=state.op.bilinear(eta, eta),
         inner_effort=report.total_iterations,
         kind=EXACT_GRAD,
     )
-
-
-def _multiplier_warm_start(phi: Frame, lam: np.ndarray) -> Frame:
-    """Initial iterate phi Lambda^{-1}; its error tracks the outer iteration."""
-    lam = 0.5 * (lam + lam.T)
-    return Frame(np.linalg.solve(lam, phi.values.T).T, phi.grid)
 
 
 def inexact_gradient(
@@ -84,15 +82,15 @@ def inexact_gradient(
 ) -> SearchDirection:
     """Gradient surrogate from a fixed number of preconditioned CG steps.
 
-    The inner solve for A Y = phi starts from the multiplier-based warm
-    start and is truncated after ``fixed_iters`` steps; the direction is
+    The inner solve for A Y = phi starts from the iterate's multiplier warm
+    start phi Lambda^{-1}, the same cached guess the exact gradient starts
+    from, and is truncated after ``fixed_iters`` steps; the direction is
     assembled exactly like the exact gradient but from Y. Not re-projected:
     the retraction absorbs the normal component.
     """
     state = _anchor(model, phi, state)
-    warm = _multiplier_warm_start(phi, state.lam)
     inner_config = replace(config, fixed_iters=fixed_iters)
-    y, report = solve(state.op, phi, inner_config, warm_start=warm)
+    y, report = solve(state.op, phi, inner_config, warm_start=state.multiplier_warm_start)
     try:
         psi = _gram_inverse_mix(y, phi)
     except DegenerateFrameError as exc:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import OperatorNotSPDError, ShapeError
+from .errors import DegenerateFrameError, OperatorNotSPDError, ShapeError
 from .frames import (
     DIRICHLET,
     Frame,
@@ -287,7 +287,10 @@ class IterateState:
     A phi, the multiplier Lambda = [[phi, A phi]], the residual
     r = A phi - phi Lambda with its H-norm, and the energy. The descent
     driver builds one per visited iterate and hands it to the direction,
-    the non-monotone update and the final report.
+    the non-monotone update and the final report. The multiplier warm
+    start phi Lambda^{-1} of the gradient solves is computed on first use
+    and then kept, so every solve at this iterate starts from the same
+    guess.
     """
 
     phi: Frame
@@ -304,6 +307,22 @@ class IterateState:
         a_phi = op.apply(phi)
         r, lam = residual(model, phi, a_phi)
         return cls(phi, op, a_phi, lam, r, norm_h(r), energy(model, phi))
+
+    @cached_property
+    def multiplier_warm_start(self) -> Frame:
+        """Initial guess phi Lambda^{-1} for A X = phi, from the cached Lambda.
+
+        Exact at a critical point, where A phi = phi Lambda, so its error
+        tracks the outer iteration: its residual phi - A phi Lambda^{-1}
+        is -r Lambda^{-1}. Raises DegenerateFrameError when Lambda is
+        singular, which for SPD A means phi has dependent columns.
+        """
+        lam = 0.5 * (self.lam + self.lam.T)
+        try:
+            values = np.linalg.solve(lam, self.phi.values.T).T
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateFrameError("multiplier matrix is singular") from exc
+        return Frame(values, self.phi.grid)
 
     def derivative(self, v: Frame) -> float:
         """First variation of the energy at phi along v, from the cached A phi."""

@@ -23,7 +23,7 @@ from stiefel_rgd.descent import (
     TERMINATION_RESIDUAL,
     bb_trial_step,
 )
-from stiefel_rgd.models import DiscreteOperatorA
+from stiefel_rgd.models import DiscreteOperatorA, IterateState
 from stiefel_rgd.solvers import dense_inverse_applier
 
 from conftest import (
@@ -94,6 +94,13 @@ class TestFixedStep:
         run = rgd_fixed_step(model, collapsed, 0.1, solver_config=DIRECT)
         assert not run.converged
         assert run.termination == TERMINATION_DEGENERATE
+
+
+def collapsed_start(model):
+    """A two-column frame whose columns coincide: its Gram and multiplier
+    matrices are singular."""
+    column = np.ones((model.grid.n_dof, 1)) / np.sqrt(model.grid.n_dof * model.grid.weight)
+    return Frame(np.column_stack([column, column]), model.grid)
 
 
 class TestNonMonotoneBookkeeping:
@@ -196,6 +203,20 @@ class TestLineSearchRuns:
         )
         assert not run.converged
         assert run.termination == TERMINATION_LINE_SEARCH
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [("inexact_grad", reference_solver_config()),
+         ("exact_grad", reference_solver_config()),
+         ("exact_grad", DIRECT)],
+        ids=["inexact_grad", "exact_grad-krylov_cg", "exact_grad-direct_dense"],
+    )
+    def test_degenerate_start_reported_by_every_gradient(self, kind, config):
+        model = make_model(n=32, length=1.0, omega=5.0, kappa=0.0, n_orbitals=2)
+        run = rgd_line_search(model, collapsed_start(model), direction_kind=kind,
+                              solver_config=config)
+        assert not run.converged
+        assert run.termination == TERMINATION_DEGENERATE
 
     def test_converged_invariant(self, gpe_runs, coupled_runs):
         for runs in (gpe_runs, coupled_runs):
@@ -312,6 +333,19 @@ class TestOtherDiscretizations:
         assert run.converged
         assert np.all(np.diff(run.eigenvalues) >= 0)
 
+    def test_2d_multi_orbital_exact_run_reaches_tol(self):
+        # The ROADMAP item 5 regime on a 32^2 grid: from this start frame, exact
+        # rgd_ls with zero-started solves stalls in line_search_failure at a
+        # residual of ~7e-6, with Armijo targets below the round-off of E.
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+        run = rgd_line_search(
+            model, initial_frame(model.grid, 4, 4000), tol=1e-6, max_iter=2000,
+            solver_config=reference_solver_config(),
+        )
+        assert run.termination == TERMINATION_RESIDUAL
+        assert run.history[-1].residual_h_norm <= 1e-6
+
 
 class TestEvaluationCounts:
     """Each visited iterate is evaluated once: one energy per trial step plus
@@ -359,3 +393,64 @@ class TestEvaluationCounts:
         if method == "rgd_ls_inexact":
             # The safeguard discarded attempts at some iterates.
             assert counts["inexact"] > len(run.history)
+
+    @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
+    def test_one_warm_start_per_iterate(self, method, monkeypatch):
+        """phi Lambda^{-1} is computed at most once per visited iterate, and
+        every solve at that iterate, across inexact attempts and the exact
+        fallback, starts from that same guess."""
+        import functools
+
+        import stiefel_rgd.directions as directions
+
+        computed = []
+        solves = []
+        counts = {"inexact": 0, "exact": 0}
+        warm_start = IterateState.__dict__["multiplier_warm_start"]
+        solve = directions.solve
+
+        def counted_warm_start(state):
+            computed.append(state)
+            return warm_start.func(state)
+
+        def recording_solve(op, b, config, warm_start=None):
+            solves.append((op, warm_start))
+            return solve(op, b, config, warm_start=warm_start)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        patched = functools.cached_property(counted_warm_start)
+        patched.__set_name__(IterateState, "multiplier_warm_start")
+        monkeypatch.setattr(IterateState, "multiplier_warm_start", patched)
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        monkeypatch.setattr(directions, "inexact_gradient",
+                            counted("inexact", directions.inexact_gradient))
+        monkeypatch.setattr(directions, "riemannian_gradient",
+                            counted("exact", directions.riemannian_gradient))
+
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+        phi0 = initial_frame(model.grid, 3, 3)
+        config = reference_solver_config()
+        if method == "rgd_fixed":
+            run = rgd_fixed_step(model, phi0, FIXED_TAU, max_iter=30, solver_config=config)
+        else:
+            kind = {"rgd_ls": "exact_grad", "rgd_ls_inexact": "inexact_grad",
+                    "dcm": "dcm"}[method]
+            run = rgd_line_search(model, phi0, direction_kind=kind, max_iter=60,
+                                  solver_config=config)
+
+        assert run.termination in (TERMINATION_RESIDUAL, TERMINATION_MAX_ITER)
+        assert len({id(state) for state in computed}) == len(computed)
+        # Every gradient direction starts from the guess; DCM never uses it.
+        assert len(computed) == (0 if method == "dcm" else len(run.history))
+        guesses = {id(state.op): state.multiplier_warm_start for state in computed}
+        for op, start in solves:
+            assert start is guesses.get(id(op))
+        if method == "rgd_ls_inexact":
+            # Discarded attempts and exact fallbacks shared the guess.
+            assert counts["inexact"] > len(run.history)
+            assert counts["exact"] > 0

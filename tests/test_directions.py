@@ -5,6 +5,7 @@ import pytest
 
 from stiefel_rgd import (
     DiscreteOperatorA,
+    IterateState,
     SolveConfig,
     dcm_direction,
     energy,
@@ -18,7 +19,9 @@ from stiefel_rgd import (
     rgd_line_search,
     riemannian_gradient,
     safeguarded_inexact_gradient,
+    solve,
 )
+from stiefel_rgd import directions
 from stiefel_rgd.directions import EXACT_GRAD, INEXACT_GRAD
 from stiefel_rgd.geometry import retract_polar, retract_qr_mgs, solve_lyapunov
 
@@ -100,6 +103,76 @@ class TestExactGradient:
     def test_requires_tolerance_mode(self, model, phi):
         with pytest.raises(ValueError):
             riemannian_gradient(model, phi, SolveConfig(fixed_iters=3))
+
+
+def late_iterates(run, count=3, below=1e-3):
+    """The first ``count`` iterates of a converged run whose residual is at
+    most ``below``: late enough for phi Lambda^{-1} to be a close guess."""
+    assert run.converged
+    return [frame for frame, rec in zip(run.frames, run.history)
+            if rec.residual_h_norm <= below][:count]
+
+
+def two_dimensional_run():
+    model = make_model(n=16, length=1.0, omega=10.0, kappa=50.0, n_orbitals=3,
+                       dimension=2)
+    run = rgd_line_search(model, initial_frame(model.grid, 3, 3), tol=1e-6,
+                          max_iter=2000, solver_config=reference_solver_config(),
+                          log_frames=True)
+    return model, run
+
+
+class TestWarmStartedExactGradient:
+    """The Krylov exact gradient starts from the iterate's multiplier guess
+    phi Lambda^{-1}, still solves to ``rel_tol`` and agrees with the dense
+    gradient."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_matches_dense_gradient_on_late_iterates(self, dimension, request, monkeypatch):
+        if dimension == 1:
+            model = request.getfixturevalue("coupled_model")
+            run = request.getfixturevalue("coupled_runs")["rgd_ls"]
+        else:
+            model, run = two_dimensional_run()
+        frames = late_iterates(run)
+        config = reference_solver_config()
+        calls = []
+
+        def recording_solve(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            calls.append((report, kwargs.get("warm_start")))
+            return x, report
+
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        assert len(frames) == 3
+        for phi in frames:
+            state = IterateState.at(model, phi)
+            calls.clear()
+            sd = riemannian_gradient(model, phi, config, state)
+            (report, warm), = calls
+            assert warm is state.multiplier_warm_start
+            assert max(report.final_relative_residuals) <= config.rel_tol
+
+            # Each column of X solves A x = phi_j to a Euclidean residual of
+            # at most rel_tol * |phi_j|, so the solve error E obeys
+            # |E|_H <= rel_tol * |phi|_H / lambda_min(A) = rel_tol sqrt(N) /
+            # lambda_min(A) for orthonormal phi. To first order in E,
+            # eta = X G^{-1} - phi moves by (I - psi [[phi, .]]) E G^{-1}, a
+            # projector of norm 1 + O(|eta|^2) applied to E G^{-1}, so
+            # |eta - eta_dense|_H <= rel_tol sqrt(N) |G^{-1}|_2 / lambda_min(A);
+            # the factor 2 covers second-order terms and the dense solve's
+            # own round-off.
+            dense = riemannian_gradient(model, phi, DIRECT, state)
+            gram = outer_product(phi, dense_a_solve(model, phi)(phi))
+            lambda_min = np.linalg.eigvalsh(state.op.matrix.toarray())[0]
+            bound = (2.0 * config.rel_tol * np.sqrt(phi.n_orbitals)
+                     / (np.linalg.eigvalsh(0.5 * (gram + gram.T))[0] * lambda_min))
+            assert norm_h(sd.direction - dense.direction) <= bound
+            # The bound is far below the direction, so agreement means something.
+            assert bound <= 0.1 * norm_h(dense.direction)
+
+            _, cold = solve(state.op, phi, config)
+            assert sd.inner_effort < cold.total_iterations
 
 
 class TestNormalComponentIdentities:
