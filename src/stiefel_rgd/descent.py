@@ -131,9 +131,8 @@ def _evaluate(model: EnergyModel, phi: Frame, e: float) -> IterateState:
     through this module's ``residual`` binding, which bench/spans.py wraps.
     """
     op = DiscreteOperatorA.at(model, phi)
-    a_phi = op.apply(phi)
-    r, lam = residual(model, phi, a_phi)
-    return IterateState(phi, op, a_phi, lam, r, norm_h(r), e)
+    r, lam = residual(model, phi, op.apply(phi))
+    return IterateState(phi, op, lam, r, norm_h(r), e)
 
 
 def _descend(

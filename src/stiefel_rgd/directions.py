@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateFrameError
-from .frames import Frame, outer_product
+from .frames import Frame, inner_h, outer_product
 from .models import EnergyModel, IterateState
 from .solvers import SolveConfig, solve
 
@@ -142,10 +142,10 @@ def safeguarded_inexact_gradient(
 ) -> SearchDirection:
     """Inexact gradient with a descent safeguard.
 
-    If the energy derivative along the direction is non-negative, the inner
-    iteration count is doubled (up to ``max_doublings`` times); as a last
-    resort the exact gradient is used. Effort of discarded attempts counts
-    toward the returned direction.
+    If the slope along the retraction ``<r, eta>`` (r the residual) is
+    non-negative, the inner iteration count is doubled (up to
+    ``max_doublings`` times); as a last resort the exact gradient is used.
+    Effort of discarded attempts counts toward the returned direction.
     """
     state = _anchor(model, phi, state)
     effort = 0
@@ -153,7 +153,7 @@ def safeguarded_inexact_gradient(
     for _ in range(max_doublings + 1):
         sd = inexact_gradient(model, phi, iters, config, state)
         effort += sd.inner_effort
-        if state.derivative(sd.direction) < 0.0:
+        if inner_h(state.r, sd.direction) < 0.0:
             return replace(sd, inner_effort=effort)
         iters *= 2
     sd = riemannian_gradient(model, phi, config, state)

@@ -246,7 +246,8 @@ def energy(model: EnergyModel, phi: Frame) -> float:
 
 
 def directional_derivative(model: EnergyModel, phi: Frame, v: Frame) -> float:
-    """First variation of the energy at phi along v (no shift involved)."""
+    """Ambient first variation of E at phi along v (no shift involved). It is
+    not the slope along a retraction, ``<r, v>``, when v is not tangent."""
     op = DiscreteOperatorA.at(model, phi)
     return op.bilinear_unshifted(phi, v)
 
@@ -284,7 +285,7 @@ class IterateState:
     """Everything derived from one iterate, evaluated once and then shared.
 
     Holds the iterate, its anchored operator (which carries the density),
-    A phi, the multiplier Lambda = [[phi, A phi]], the residual
+    the multiplier Lambda = [[phi, A phi]], the residual
     r = A phi - phi Lambda with its H-norm, and the energy. The descent
     driver builds one per visited iterate and hands it to the direction,
     the non-monotone update and the final report. The multiplier warm
@@ -295,7 +296,6 @@ class IterateState:
 
     phi: Frame
     op: DiscreteOperatorA
-    a_phi: Frame
     lam: np.ndarray
     r: Frame
     res_norm: float
@@ -304,9 +304,8 @@ class IterateState:
     @classmethod
     def at(cls, model: EnergyModel, phi: Frame) -> "IterateState":
         op = DiscreteOperatorA.at(model, phi)
-        a_phi = op.apply(phi)
-        r, lam = residual(model, phi, a_phi)
-        return cls(phi, op, a_phi, lam, r, norm_h(r), energy(model, phi))
+        r, lam = residual(model, phi, op.apply(phi))
+        return cls(phi, op, lam, r, norm_h(r), energy(model, phi))
 
     @cached_property
     def multiplier_warm_start(self) -> Frame:
@@ -323,7 +322,3 @@ class IterateState:
         except np.linalg.LinAlgError as exc:
             raise DegenerateFrameError("multiplier matrix is singular") from exc
         return Frame(values, self.phi.grid)
-
-    def derivative(self, v: Frame) -> float:
-        """First variation of the energy at phi along v, from the cached A phi."""
-        return inner_h(self.a_phi, v) - self.op.model.shift * inner_h(self.phi, v)

@@ -63,6 +63,40 @@ def random_tangent(model, phi, rng, normalized=False):
     return eta
 
 
+def force_discards(monkeypatch, discards):
+    """Make the inexact safeguard discard attempts without relying on round-off.
+
+    Wraps ``directions.inexact_gradient`` so that the first ``discards(k)``
+    attempts at the k-th iterate it sees (counting from 0) come back with
+    their direction negated when it descends, i.e. with a slope along the
+    retraction <r, eta> >= 0, which the safeguard rejects. Their Krylov
+    work is done and counted as usual. A count above ``max_doublings``
+    leads to the exact fallback. Returns the list of (fixed_iters,
+    SearchDirection) of every attempt, in call order.
+    """
+    from dataclasses import replace
+
+    from stiefel_rgd import directions, inner_h
+
+    inexact = directions.inexact_gradient
+    states, per_state, attempts = [], [], []
+
+    def forced(model, phi, fixed_iters, config, state=None):
+        sd = inexact(model, phi, fixed_iters, config, state)
+        if not states or states[-1] is not state:
+            states.append(state)
+            per_state.append(0)
+        per_state[-1] += 1
+        if per_state[-1] <= discards(len(states) - 1):
+            if inner_h(state.r, sd.direction) < 0.0:
+                sd = replace(sd, direction=-sd.direction)
+        attempts.append((fixed_iters, sd))
+        return sd
+
+    monkeypatch.setattr(directions, "inexact_gradient", forced)
+    return attempts
+
+
 def symmetric_pair_matrices(n_orbitals):
     """Normalized symmetric basis matrices, one per index pair (i <= j)."""
     pairs = [(i, j) for i in range(n_orbitals) for j in range(i, n_orbitals)]

@@ -8,9 +8,11 @@ from stiefel_rgd import (
     IterateState,
     SolveConfig,
     dcm_direction,
+    directional_derivative,
     energy,
     inexact_gradient,
     initial_frame,
+    inner_h,
     is_tangent,
     multiply_right,
     norm_h,
@@ -23,11 +25,12 @@ from stiefel_rgd import (
 )
 from stiefel_rgd import directions
 from stiefel_rgd.directions import EXACT_GRAD, INEXACT_GRAD
-from stiefel_rgd.geometry import retract_polar, retract_qr_mgs, solve_lyapunov
+from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
 
 from conftest import (
     dense_a_solve,
     dense_lowest_eigenpairs,
+    force_discards,
     make_model,
     random_tangent,
     reference_solver_config,
@@ -103,6 +106,55 @@ class TestExactGradient:
     def test_requires_tolerance_mode(self, model, phi):
         with pytest.raises(ValueError):
             riemannian_gradient(model, phi, SolveConfig(fixed_iters=3))
+
+
+@pytest.fixture(scope="module")
+def inexact_2d_run():
+    """rgd_ls_inexact on 2D 16^2, N=3, kappa=100 from start frame 4000,
+    counting the safeguard's exact fallbacks."""
+    model = make_model(n=16, length=1.0, omega=10.0, kappa=100.0, n_orbitals=3,
+                       dimension=2)
+    exact_calls = []
+    exact = directions.riemannian_gradient
+
+    def counted(*args, **kwargs):
+        exact_calls.append(1)
+        return exact(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(directions, "riemannian_gradient", counted)
+        run = rgd_line_search(model, initial_frame(model.grid, 3, 4000),
+                              direction_kind=INEXACT_GRAD, fixed_iters=3, tol=1e-6,
+                              max_iter=2000, solver_config=reference_solver_config(),
+                              log_frames=True)
+    return model, run, len(exact_calls)
+
+
+class TestSlopeAlongRetraction:
+    """The slope of E(R(phi, tau eta)) at tau = 0 is <r, eta> for any eta,
+    tangent or not: the retractions drop the normal part of eta and E does
+    not change under orbital rotations. The ambient first variation is
+    another number."""
+
+    @pytest.mark.parametrize("kind", ["polar", "qr_mgs"])
+    @pytest.mark.parametrize("iterate", [5, 200])
+    def test_central_difference_matches_residual_pairing(self, inexact_2d_run, kind,
+                                                         iterate):
+        model, run, _ = inexact_2d_run
+        phi = run.frames[iterate]
+        state = IterateState.at(model, phi)
+        # Not critical: the residual is far above the run's tolerance.
+        assert state.res_norm >= 1e-2
+        eta = dcm_direction(model, phi, 3, reference_solver_config(), state).direction
+        assert is_tangent(phi, eta).skew_defect >= 0.01 * norm_h(eta)
+        h = 1e-3
+        fd = (energy(model, retract(phi, h * eta, kind))
+              - energy(model, retract(phi, (-h) * eta, kind))) / (2 * h)
+        slope = inner_h(state.r, eta)
+        assert fd == pytest.approx(slope, rel=1e-3)
+        # The ambient derivative has the opposite sign: eta descends along
+        # the retraction although <A phi - s phi, eta> > 0.
+        assert slope < 0.0 < directional_derivative(model, phi, eta)
 
 
 def late_iterates(run, count=3, below=1e-3):
@@ -241,11 +293,12 @@ class TestInexactGradient:
         )
         assert run.converged
         for frame in run.frames[:-1]:
+            state = IterateState.at(model, frame)
             sd = safeguarded_inexact_gradient(
-                model, frame, 3, reference_solver_config()
+                model, frame, 3, reference_solver_config(), state=state
             )
-            op = DiscreteOperatorA.at(model, frame)
-            assert op.bilinear_unshifted(frame, sd.direction) < 0.0
+            # The slope of E(R(frame, tau eta)) at tau = 0.
+            assert inner_h(state.r, sd.direction) < 0.0
 
     def test_warm_start_beats_zero_start(self, rng):
         model = make_model(n=64, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
@@ -306,17 +359,44 @@ class TestDcmDirection:
 
 
 class TestSafeguard:
-    def test_returns_exact_kind_when_doublings_exhausted(self, model, phi):
-        # A one-step budget with zero allowed doublings on a barely converged
-        # inner solve can still be a descent direction, so force the fallback
-        # by demanding descent from an impossible budget on a critical frame.
-        linear = make_model(n=48, length=1.0, omega=6.0, kappa=0.0, n_orbitals=3)
-        _, modes = dense_lowest_eigenpairs(linear, 3)
+    def test_returns_exact_kind_when_doublings_exhausted(self, model, phi, monkeypatch):
+        attempts = force_discards(monkeypatch, lambda k: 3)
         sd = safeguarded_inexact_gradient(
-            linear, modes, 1, reference_solver_config(), max_doublings=0
+            model, phi, 3, reference_solver_config(), max_doublings=2
         )
         assert sd.kind == EXACT_GRAD
+        # Every attempt ran, each with twice the budget of the one before.
+        assert [iters for iters, _ in attempts] == [3, 6, 12]
 
     def test_accumulates_effort(self, model, phi):
-        sd = safeguarded_inexact_gradient(model, phi, 3, reference_solver_config())
-        assert sd.inner_effort >= 3 * phi.n_orbitals
+        # Accepted after 0, 1 or 2 discards, or exact after all 3 attempts.
+        for discards in range(4):
+            with pytest.MonkeyPatch.context() as patch:
+                attempts = force_discards(patch, lambda k: discards)
+                fallbacks = []
+                exact = directions.riemannian_gradient
+
+                def recording_exact(*args, **kwargs):
+                    fallbacks.append(exact(*args, **kwargs))
+                    return fallbacks[-1]
+
+                patch.setattr(directions, "riemannian_gradient", recording_exact)
+                sd = safeguarded_inexact_gradient(
+                    model, phi, 3, reference_solver_config(), max_doublings=2
+                )
+            assert len(attempts) == min(discards + 1, 3)
+            assert len(fallbacks) == (1 if discards == 3 else 0)
+            assert sd.kind == (EXACT_GRAD if fallbacks else INEXACT_GRAD)
+            # The returned effort is that of every attempt plus the fallback.
+            assert sd.inner_effort == (sum(a.inner_effort for _, a in attempts)
+                                       + sum(f.inner_effort for f in fallbacks))
+            assert sd.inner_effort >= 3 * phi.n_orbitals
+
+    def test_2d_inexact_run_needs_no_exact_fallback(self, inexact_2d_run):
+        # Along some inexact directions of this run that descend, the ambient
+        # derivative <A phi - s phi, eta> is positive; a safeguard testing it
+        # falls back to the exact gradient 11 times here.
+        _, run, exact_calls = inexact_2d_run
+        assert run.converged
+        assert run.history[-1].residual_h_norm <= 1e-6
+        assert exact_calls == 0
