@@ -57,7 +57,6 @@ from .models import (
     a0_norm,
     directional_derivative,
     energy,
-    eigenvalues_at,
     potential_from_file,
     potential_harmonic,
     potential_well,

@@ -11,17 +11,9 @@ import numpy as np
 
 from .directions import EXACT_GRAD, SearchDirection, compute_direction
 from .errors import NumericalError
-from .frames import Frame, GridSpec, inner_h, norm_h, random_frame
+from .frames import Frame, GridSpec, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
-from .models import (
-    DiscreteOperatorA,
-    EnergyModel,
-    IterateState,
-    a0_norm,
-    energy,
-    multiplier_eigenvalues,
-    residual,
-)
+from .models import EnergyModel, IterateState, a0_norm, energy, multiplier_eigenvalues
 from .solvers import SolveConfig
 
 TERMINATION_RESIDUAL = "residual_tol"
@@ -124,17 +116,6 @@ def bb_trial_step(n: int, s: Frame, y: Frame, params: LineSearchParams) -> float
     return max(params.gamma_min, min(gamma, params.gamma_max))
 
 
-def _evaluate(model: EnergyModel, phi: Frame, e: float) -> IterateState:
-    """The state of iterate phi, whose energy ``e`` the caller has already.
-
-    Built here rather than by ``IterateState.at`` so that the residual goes
-    through this module's ``residual`` binding, which bench/spans.py wraps.
-    """
-    op = DiscreteOperatorA.at(model, phi)
-    r, lam = residual(model, phi, op.apply(phi))
-    return IterateState(phi, op, lam, r, norm_h(r), e)
-
-
 def _descend(
     model: EnergyModel,
     phi0: Frame,
@@ -159,7 +140,7 @@ def _descend(
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
     directions: Optional[List[Frame]] = [] if log_frames else None
-    state = _evaluate(model, phi0, energy(model, phi0))
+    state = IterateState.at(model, phi0, energy(model, phi0))
     prev_phi: Optional[Frame] = None
     prev_eta: Optional[SearchDirection] = None
     c, q = state.energy, 1.0
@@ -181,8 +162,7 @@ def _descend(
         if frames is not None:
             frames.append(phi)
         try:
-            sd = compute_direction(model, phi, direction_kind, config, fixed_iters,
-                                   state=state)
+            sd = compute_direction(state, direction_kind, config, fixed_iters)
         except NumericalError:
             history.append(
                 IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, c, q,
@@ -234,7 +214,7 @@ def _descend(
             return finish(False, TERMINATION_LINE_SEARCH)
 
         prev_phi, prev_eta = phi, sd
-        state = _evaluate(model, accepted, e_trial)
+        state = IterateState.at(model, accepted, e_trial)
         if fixed_tau is not None:
             c, q = state.energy, 1.0
         else:

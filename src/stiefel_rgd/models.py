@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, ShapeError
 from .frames import (
@@ -161,23 +162,32 @@ def linear_part_matrix(model: EnergyModel) -> sp.csr_matrix:
     return model._linear_part
 
 
-def validate_coercivity(model: EnergyModel, max_dense: int = 8192) -> None:
-    """Check that the shifted quadratic form is positive definite.
+def validate_coercivity(model: EnergyModel) -> None:
+    """Check that the shifted quadratic form is positive definite, at any size.
 
-    Attempts a dense Cholesky for small problems; larger problems defer to
-    the runtime negative-curvature check inside CG.
+    Factors M = L + diag(V) + shift * I once by sparse LU with a symmetric
+    fill-reducing ordering and diagonal pivots only, which for symmetric M
+    is an LDL^T factorization: M is positive definite exactly when every
+    pivot stayed on the diagonal and is positive (Sylvester's law of
+    inertia). Round-off leaves the zero pivot of a singular M within about
+    n_dof * eps * max|M_ii| of zero, in either sign, so pivots must clear
+    ten times that. A singular M is thus rejected at every size; one
+    example is the periodic stencil with zero potential, whose constant
+    vector is a null vector, so such a problem needs shift > 0.
     """
-    if model.grid.n_dof > max_dense:
-        return
-    mat = (
-        linear_part_matrix(model) + model.shift * sp.identity(model.grid.n_dof)
-    ).toarray()
+    mat = (linear_part_matrix(model) + model.shift * sp.identity(model.grid.n_dof)).tocsc()
+    floor = 10.0 * model.grid.n_dof * np.finfo(np.float64).eps * np.abs(mat.diagonal()).max()
     try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
+        factor = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        definite = (np.array_equal(factor.perm_r, factor.perm_c)
+                    and bool(np.all(factor.U.diagonal() > floor)))
+    except RuntimeError:  # SuperLU met an exactly zero pivot
+        definite = False
+    if not definite:
         raise OperatorNotSPDError(
             "shifted quadratic form is not positive definite; increase the shift"
-        ) from exc
+        )
 
 
 @dataclass(eq=False)
@@ -274,21 +284,17 @@ def multiplier_eigenvalues(model: EnergyModel, lam: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(lam_sym)
 
 
-def eigenvalues_at(model: EnergyModel, phi: Frame) -> np.ndarray:
-    """Ascending eigenvalues of the (unshifted) multiplier matrix."""
-    _, lam = residual(model, phi)
-    return multiplier_eigenvalues(model, lam)
-
-
 @dataclass(frozen=True, eq=False)
 class IterateState:
     """Everything derived from one iterate, evaluated once and then shared.
 
     Holds the iterate, its anchored operator (which carries the density),
     the multiplier Lambda = [[phi, A phi]], the residual
-    r = A phi - phi Lambda with its H-norm, and the energy. The descent
-    driver builds one per visited iterate and hands it to the direction,
-    the non-monotone update and the final report. The multiplier warm
+    r = A phi - phi Lambda with its H-norm, and the energy. ``at`` is the
+    one place an iterate is evaluated: the descent driver builds one state
+    per visited iterate and hands it to the search direction (every
+    direction takes a state, not a frame), the non-monotone update and the
+    final report. The multiplier warm
     start phi Lambda^{-1} of the gradient solves is computed on first use
     and then kept, so every solve at this iterate starts from the same
     guess.
@@ -302,10 +308,11 @@ class IterateState:
     energy: float
 
     @classmethod
-    def at(cls, model: EnergyModel, phi: Frame) -> "IterateState":
+    def at(cls, model: EnergyModel, phi: Frame, e: Optional[float] = None) -> "IterateState":
+        """Evaluate iterate phi; ``e`` is its energy when the caller has it."""
         op = DiscreteOperatorA.at(model, phi)
         r, lam = residual(model, phi, op.apply(phi))
-        return cls(phi, op, lam, r, norm_h(r), energy(model, phi))
+        return cls(phi, op, lam, r, norm_h(r), energy(model, phi) if e is None else e)
 
     @cached_property
     def multiplier_warm_start(self) -> Frame:

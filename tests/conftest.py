@@ -81,8 +81,8 @@ def force_discards(monkeypatch, discards):
     inexact = directions.inexact_gradient
     states, per_state, attempts = [], [], []
 
-    def forced(model, phi, fixed_iters, config, state=None):
-        sd = inexact(model, phi, fixed_iters, config, state)
+    def forced(state, fixed_iters, config):
+        sd = inexact(state, fixed_iters, config)
         if not states or states[-1] is not state:
             states.append(state)
             per_state.append(0)

@@ -29,7 +29,7 @@ from stiefel_rgd import (
 from stiefel_rgd.cli import EXIT_OK, main
 from stiefel_rgd.descent import diagnostics_a2_a3
 from stiefel_rgd.geometry import RETRACTION_KINDS, retract_qr_mgs
-from stiefel_rgd.models import DiscreteOperatorA
+from stiefel_rgd.models import DiscreteOperatorA, IterateState
 
 from conftest import (
     COUPLED_SPEC,
@@ -130,7 +130,7 @@ def test_criterion_04_gradient_correctness(gpe_model, coupled_model):
         rng = np.random.default_rng(99)
         for model, seed in ((gpe_model, GPE_SPEC["seed"]), (coupled_model, COUPLED_SPEC["seed"])):
             phi = initial_frame(model.grid, model.n_orbitals, seed)
-            sd = riemannian_gradient(model, phi, direct)
+            sd = riemannian_gradient(IterateState.at(model, phi), direct)
             op = DiscreteOperatorA.at(model, phi)
             for _ in range(50):
                 u = random_tangent(model, phi, rng, normalized=True)

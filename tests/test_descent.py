@@ -357,14 +357,15 @@ def discard_schedule(k):
 
 class TestEvaluationCounts:
     """Each visited iterate is evaluated once: one energy per trial step plus
-    the start, and one anchored operator per iterate."""
+    the start, and one anchored operator and one residual per iterate."""
 
     @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
     def test_one_evaluation_per_iterate(self, method, monkeypatch):
         import stiefel_rgd.descent as descent
         import stiefel_rgd.directions as directions
+        import stiefel_rgd.models as models
 
-        counts = {"energy": 0, "at": 0, "inexact": 0}
+        counts = {"energy": 0, "at": 0, "residual": 0, "inexact": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -377,6 +378,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(descent, "energy", counted("energy", descent.energy))
         monkeypatch.setattr(DiscreteOperatorA, "at", classmethod(
             counted("at", DiscreteOperatorA.__dict__["at"].__func__)))
+        monkeypatch.setattr(models, "residual", counted("residual", models.residual))
         monkeypatch.setattr(directions, "inexact_gradient",
                             counted("inexact", directions.inexact_gradient))
 
@@ -398,6 +400,7 @@ class TestEvaluationCounts:
         trials = sum(rec.backtracks + 1 for rec in run.history[:-1])
         assert counts["energy"] == 1 + trials
         assert counts["at"] == len(run.history)
+        assert counts["residual"] == len(run.history)
         if method == "rgd_ls":
             assert trials > run.iterations
         if method == "rgd_ls_inexact":

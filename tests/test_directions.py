@@ -59,11 +59,11 @@ class TestExactGradient:
     def test_vanishes_at_linear_eigenframe(self):
         model = make_model(n=48, length=1.0, omega=6.0, kappa=0.0, n_orbitals=3)
         _, modes = dense_lowest_eigenpairs(model, 3)
-        sd = riemannian_gradient(model, modes, DIRECT)
+        sd = riemannian_gradient(IterateState.at(model, modes), DIRECT)
         assert norm_h(sd.direction) <= 1e-9
 
     def test_tangency(self, model, phi):
-        sd = riemannian_gradient(model, phi, DIRECT)
+        sd = riemannian_gradient(IterateState.at(model, phi), DIRECT)
         assert is_tangent(phi, sd.direction).skew_defect <= 1e-10
 
     def test_single_orbital_saddle_cross_check(self, rng):
@@ -79,11 +79,11 @@ class TestExactGradient:
         rhs = np.zeros(nd + 1)
         rhs[nd] = 1.0
         psi = np.linalg.solve(system, rhs)[:nd]
-        sd = riemannian_gradient(model, u, DIRECT)
+        sd = riemannian_gradient(IterateState.at(model, u), DIRECT)
         assert np.sqrt(w) * np.linalg.norm(sd.direction.values[:, 0] - (psi - uvec)) <= 1e-10
 
     def test_matches_retraction_composed_difference(self, model, phi, rng):
-        sd = riemannian_gradient(model, phi, DIRECT)
+        sd = riemannian_gradient(IterateState.at(model, phi), DIRECT)
         op = DiscreteOperatorA.at(model, phi)
         for _ in range(5):
             u = random_tangent(model, phi, rng, normalized=True)
@@ -95,7 +95,7 @@ class TestExactGradient:
             assert op.bilinear(-1.0 * sd.direction, u) == pytest.approx(fd, rel=1e-5)
 
     def test_metric_identity_against_derivative(self, model, phi, rng):
-        sd = riemannian_gradient(model, phi, DIRECT)
+        sd = riemannian_gradient(IterateState.at(model, phi), DIRECT)
         op = DiscreteOperatorA.at(model, phi)
         for _ in range(5):
             u = random_tangent(model, phi, rng)
@@ -105,7 +105,7 @@ class TestExactGradient:
 
     def test_requires_tolerance_mode(self, model, phi):
         with pytest.raises(ValueError):
-            riemannian_gradient(model, phi, SolveConfig(fixed_iters=3))
+            riemannian_gradient(IterateState.at(model, phi), SolveConfig(fixed_iters=3))
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ class TestSlopeAlongRetraction:
         state = IterateState.at(model, phi)
         # Not critical: the residual is far above the run's tolerance.
         assert state.res_norm >= 1e-2
-        eta = dcm_direction(model, phi, 3, reference_solver_config(), state).direction
+        eta = dcm_direction(state, 3, reference_solver_config()).direction
         assert is_tangent(phi, eta).skew_defect >= 0.01 * norm_h(eta)
         h = 1e-3
         fd = (energy(model, retract(phi, h * eta, kind))
@@ -200,7 +200,7 @@ class TestWarmStartedExactGradient:
         for phi in frames:
             state = IterateState.at(model, phi)
             calls.clear()
-            sd = riemannian_gradient(model, phi, config, state)
+            sd = riemannian_gradient(state, config)
             (report, warm), = calls
             assert warm is state.multiplier_warm_start
             assert max(report.final_relative_residuals) <= config.rel_tol
@@ -214,7 +214,7 @@ class TestWarmStartedExactGradient:
             # |eta - eta_dense|_H <= rel_tol sqrt(N) |G^{-1}|_2 / lambda_min(A);
             # the factor 2 covers second-order terms and the dense solve's
             # own round-off.
-            dense = riemannian_gradient(model, phi, DIRECT, state)
+            dense = riemannian_gradient(state, DIRECT)
             gram = outer_product(phi, dense_a_solve(model, phi)(phi))
             lambda_min = np.linalg.eigvalsh(state.op.matrix.toarray())[0]
             bound = (2.0 * config.rel_tol * np.sqrt(phi.n_orbitals)
@@ -253,15 +253,17 @@ class TestInexactGradient:
     def test_large_budget_matches_exact(self, rng):
         model = make_model(n=24, length=1.0, omega=5.0, kappa=10.0, n_orbitals=2)
         phi, _ = retract_qr_mgs(random_frame(model.grid, 2, rng))
-        exact = riemannian_gradient(model, phi, SolveConfig(rel_tol=1e-13, max_iters=500))
-        inexact = inexact_gradient(model, phi, model.grid.n_dof, SolveConfig())
+        state = IterateState.at(model, phi)
+        exact = riemannian_gradient(state, SolveConfig(rel_tol=1e-13, max_iters=500))
+        inexact = inexact_gradient(state, model.grid.n_dof, SolveConfig())
         assert norm_h(inexact.direction - exact.direction) <= 1e-8
 
     def test_convergence_toward_exact_with_budget(self, model, phi):
-        exact = riemannian_gradient(model, phi, DIRECT)
+        state = IterateState.at(model, phi)
+        exact = riemannian_gradient(state, DIRECT)
         gaps = [
             norm_h(
-                inexact_gradient(model, phi, k, reference_solver_config()).direction
+                inexact_gradient(state, k, reference_solver_config()).direction
                 - exact.direction
             )
             for k in (2, 8, 32)
@@ -272,11 +274,12 @@ class TestInexactGradient:
     def test_reference_budget_200_matches_exact(self):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
         phi = initial_frame(model.grid, 1, 7)
+        state = IterateState.at(model, phi)
         exact = riemannian_gradient(
-            model, phi, SolveConfig(rel_tol=1e-13, max_iters=2000,
-                                    preconditioner="kinetic_shift"),
+            state, SolveConfig(rel_tol=1e-13, max_iters=2000,
+                               preconditioner="kinetic_shift"),
         )
-        truncated = inexact_gradient(model, phi, 200, reference_solver_config())
+        truncated = inexact_gradient(state, 200, reference_solver_config())
         assert norm_h(truncated.direction - exact.direction) <= 1e-6
 
     def test_descent_on_converging_run(self, rng):
@@ -294,9 +297,7 @@ class TestInexactGradient:
         assert run.converged
         for frame in run.frames[:-1]:
             state = IterateState.at(model, frame)
-            sd = safeguarded_inexact_gradient(
-                model, frame, 3, reference_solver_config(), state=state
-            )
+            sd = safeguarded_inexact_gradient(state, 3, reference_solver_config())
             # The slope of E(R(frame, tau eta)) at tau = 0.
             assert inner_h(state.r, sd.direction) < 0.0
 
@@ -322,7 +323,7 @@ class TestDcmDirection:
     def test_vanishes_at_critical_point(self):
         model = make_model(n=48, length=1.0, omega=6.0, kappa=0.0, n_orbitals=3)
         _, modes = dense_lowest_eigenpairs(model, 3)
-        sd = dcm_direction(model, modes, 3, reference_solver_config())
+        sd = dcm_direction(IterateState.at(model, modes), 3, reference_solver_config())
         assert norm_h(sd.direction) <= 1e-9
 
     def test_residual_orthogonal_to_frame(self, model, phi):
@@ -353,7 +354,7 @@ class TestDcmDirection:
             lam = outer_product(frame, a_phi)
             r = a_phi - multiply_right(frame, lam)
             limit = -1.0 * ainv(r)
-            grad = riemannian_gradient(model, frame, DIRECT)
+            grad = riemannian_gradient(IterateState.at(model, frame), DIRECT)
             dists.append(norm_h(limit - grad.direction))
         assert all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
 
@@ -362,7 +363,7 @@ class TestSafeguard:
     def test_returns_exact_kind_when_doublings_exhausted(self, model, phi, monkeypatch):
         attempts = force_discards(monkeypatch, lambda k: 3)
         sd = safeguarded_inexact_gradient(
-            model, phi, 3, reference_solver_config(), max_doublings=2
+            IterateState.at(model, phi), 3, reference_solver_config(), max_doublings=2
         )
         assert sd.kind == EXACT_GRAD
         # Every attempt ran, each with twice the budget of the one before.
@@ -382,7 +383,8 @@ class TestSafeguard:
 
                 patch.setattr(directions, "riemannian_gradient", recording_exact)
                 sd = safeguarded_inexact_gradient(
-                    model, phi, 3, reference_solver_config(), max_doublings=2
+                    IterateState.at(model, phi), 3, reference_solver_config(),
+                    max_doublings=2,
                 )
             assert len(attempts) == min(discards + 1, 3)
             assert len(fallbacks) == (1 if discards == 3 else 0)

@@ -161,6 +161,52 @@ class TestOperator:
         good = EnergyModel(grid, well, kappa=0.0, shift=1001.0, n_orbitals=1)
         validate_coercivity(good)
 
+    @pytest.mark.parametrize("dimension, n", [(1, 24), (1, 128), (2, 9), (2, 24)])
+    @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+    @pytest.mark.parametrize("potential", ["harmonic", "deep_well", "shallow_well"])
+    def test_coercivity_decision_matches_dense_cholesky(self, dimension, n, boundary,
+                                                        potential):
+        # The potentials the other tests build, and shifts on either side of
+        # -lambda_min of the linear part, clear of the singular point.
+        grid = GridSpec(dimension, n, 1.0, boundary)
+        pot = {"harmonic": lambda: potential_harmonic(grid, 10.0),
+               "deep_well": lambda: potential_well(grid, depth=-1000.0, width=0.5),
+               "shallow_well": lambda: potential_well(grid, depth=-5.0, width=0.3)}[potential]()
+        linear = linear_part_matrix(EnergyModel(grid, pot)).toarray()
+        lam_min = np.linalg.eigvalsh(linear)[0]
+        margin = 1e-3 * max(1.0, abs(lam_min))
+        shifts = {0.0, 6.0, 1001.0, max(0.0, margin - lam_min),
+                  max(0.0, -margin - lam_min)}
+        for shift in sorted(shifts):
+            try:
+                np.linalg.cholesky(linear + shift * np.eye(grid.n_dof))
+                dense_spd = True
+            except np.linalg.LinAlgError:
+                dense_spd = False
+            model = EnergyModel(grid, pot, shift=shift)
+            if dense_spd:
+                validate_coercivity(model)
+            else:
+                with pytest.raises(OperatorNotSPDError):
+                    validate_coercivity(model)
+
+    @pytest.mark.parametrize("dimension, n", [(1, 24), (1, 64), (1, 128), (2, 24), (2, 64)])
+    def test_singular_periodic_stencil_rejected_at_every_size(self, dimension, n):
+        # The constant vector is a null vector of the periodic stencil; a dense
+        # Cholesky accepts or rejects it by round-off, depending on n.
+        grid = GridSpec(dimension, n, 1.0, "periodic")
+        with pytest.raises(OperatorNotSPDError):
+            validate_coercivity(EnergyModel(grid, potential_zero(grid)))
+        validate_coercivity(EnergyModel(grid, potential_zero(grid), shift=1e-3))
+
+    def test_coercivity_checked_above_8192_dof(self):
+        # 91^2 = 8281 unknowns, past the size where a dense check is affordable.
+        grid = GridSpec(2, 91, 1.0)
+        well = potential_well(grid, depth=-1000.0, width=0.5)
+        with pytest.raises(OperatorNotSPDError):
+            validate_coercivity(EnergyModel(grid, well, shift=0.0))
+        validate_coercivity(EnergyModel(grid, well, shift=1001.0))
+
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
     def test_anchored_matrix_equals_assembled_sum(self, dimension, boundary, rng):
