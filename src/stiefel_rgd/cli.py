@@ -323,7 +323,7 @@ def run(
     for spec in methods:
         try:
             result = _run_method(model, phi0, spec, solver_config, log_frames)
-        except NumericalError as exc:
+        except (NumericalError, ValueError) as exc:  # ValueError: a non-finite frame
             print(f"method {spec['name']} failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         if write_csv:

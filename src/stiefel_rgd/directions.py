@@ -26,32 +26,22 @@ class SearchDirection:
     kind: str
 
 
-def _gram_inverse_mix(x: Frame, phi: Frame) -> Frame:
-    """X times the inverse Gram matrix [[phi, X]]^-1, via Cholesky."""
-    g = outer_product(phi, x)
-    g = 0.5 * (g + g.T)
-    try:
-        factor = sla.cho_factor(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError("Gram matrix is numerically singular") from exc
-    return Frame(sla.cho_solve(factor, x.values.T).T, x.grid)
-
-
 def _gradient(state: IterateState, config: SolveConfig, kind: str) -> SearchDirection:
     """eta = X G^{-1} - phi, with X from a solve of A X = phi started at the
-    iterate's multiplier warm start phi Lambda^{-1} and G the Gram matrix
-    of phi against X. A truncated solve (``config.fixed_iters``) whose X
-    gives a singular G raises with a hint to raise the budget."""
+    iterate's multiplier warm start phi Lambda^{-1} and G = [[phi, X]] the
+    Gram matrix of phi against X, inverted by Cholesky. A singular G raises
+    DegenerateFrameError, with a hint to raise the budget when the solve
+    was truncated (``config.fixed_iters``)."""
     x, report = solve(state.op, state.phi, config, warm_start=state.multiplier_warm_start)
+    g = outer_product(state.phi, x)
     try:
-        psi = _gram_inverse_mix(x, state.phi)
-    except DegenerateFrameError as exc:
-        if config.fixed_iters is None:
-            raise
+        factor = sla.cho_factor(0.5 * (g + g.T))
+    except np.linalg.LinAlgError as exc:
         raise DegenerateFrameError(
-            "inexact solve produced a degenerate Gram matrix; increase fixed_iters"
+            "Gram matrix is numerically singular" if config.fixed_iters is None
+            else "inexact solve produced a degenerate Gram matrix; increase fixed_iters"
         ) from exc
-    eta = psi - state.phi
+    eta = Frame._wrap(sla.cho_solve(factor, x.values.T).T - state.phi.values, x.grid)
     return SearchDirection(
         direction=eta,
         gram_of_direction=state.op.bilinear(eta, eta),

@@ -3,6 +3,13 @@
 A frame packs N orbitals as the columns of an (n_dof, N) array. All inner
 products are lumped-mass L2 products: plain dot products scaled by the
 cell weight h^d, so every frame identity is exact matrix algebra.
+
+Values are validated where they enter the library: ``Frame(values, grid)``
+copies, shape-checks and finiteness-checks its array. Frames the library
+computes from frames it already holds (frame arithmetic, ``multiply_right``,
+the operator product, the preconditioner, the retractions) wrap their fresh
+result read-only without a copy or a scan; ``IterateState.at`` scans each
+visited iterate once.
 """
 
 from __future__ import annotations
@@ -73,7 +80,15 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """N orbitals on a grid, one per column of ``values``."""
+    """N orbitals on a grid, one per column of ``values``.
+
+    ``Frame(values, grid)`` validates: it copies ``values`` into a read-only
+    C-ordered float64 array and rejects a wrong shape or a non-finite entry.
+    It serves values from outside the frame algebra: callers, ``zero_frame``,
+    ``random_frame`` and the result of a linear solve, the one kernel that
+    can turn finite inputs into NaN. Frames computed from frames the library
+    already holds go through ``_wrap``, which neither copies nor scans.
+    """
 
     values: np.ndarray
     grid: GridSpec
@@ -95,6 +110,17 @@ class Frame:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _wrap(cls, values: np.ndarray, grid: GridSpec) -> "Frame":
+        """A frame around a fresh ``(n_dof, N)`` result computed from valid
+        frames: made C-contiguous (copied only if it is not) and read-only,
+        and not scanned."""
+        values = np.ascontiguousarray(values)
+        values.setflags(write=False)
+        frame = object.__new__(cls)
+        frame.__dict__.update(values=values, grid=grid)  # bypasses the frozen __setattr__
+        return frame
+
     @property
     def n_orbitals(self) -> int:
         return self.values.shape[1]
@@ -105,19 +131,19 @@ class Frame:
 
     def __add__(self, other: "Frame") -> "Frame":
         self._check_same_space(other)
-        return Frame(self.values + other.values, self.grid)
+        return Frame._wrap(self.values + other.values, self.grid)
 
     def __sub__(self, other: "Frame") -> "Frame":
         self._check_same_space(other)
-        return Frame(self.values - other.values, self.grid)
+        return Frame._wrap(self.values - other.values, self.grid)
 
     def __mul__(self, scalar: float) -> "Frame":
-        return Frame(self.values * float(scalar), self.grid)
+        return Frame._wrap(self.values * float(scalar), self.grid)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Frame":
-        return Frame(-self.values, self.grid)
+        return Frame._wrap(-self.values, self.grid)
 
 
 def outer_product(v: Frame, w: Frame) -> np.ndarray:
@@ -148,7 +174,7 @@ def multiply_right(v: Frame, s: np.ndarray) -> Frame:
         raise ShapeError(
             f"matrix of shape {s.shape} cannot act on a frame with N={v.n_orbitals}"
         )
-    return Frame(v.values @ s, v.grid)
+    return Frame._wrap(v.values @ s, v.grid)
 
 
 def zero_frame(grid: GridSpec, n_orbitals: int) -> Frame:

@@ -133,7 +133,7 @@ def retract_qr_mgs(v: Frame) -> Tuple[Frame, np.ndarray]:
             rij = weight * float(np.dot(work[:, j], q[:, i]))
             r[i, j] = rij
             work[:, j] -= rij * q[:, i]
-    return Frame(q, v.grid), r
+    return Frame._wrap(q, v.grid), r
 
 
 def retract_qr_cholesky(phi: Frame, eta: Frame) -> Frame:
@@ -145,7 +145,7 @@ def retract_qr_cholesky(phi: Frame, eta: Frame) -> Frame:
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("Gram matrix is not positive definite") from exc
     values = sla.solve_triangular(f.T, moved.values.T, lower=True).T
-    return Frame(values, moved.grid)
+    return Frame._wrap(values, moved.grid)
 
 
 def retract(phi: Frame, eta: Frame, kind: str = POLAR) -> Frame:

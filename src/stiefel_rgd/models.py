@@ -195,26 +195,24 @@ class DiscreteOperatorA:
     """The elliptic operator anchored at a frame, with the coercivity shift.
 
     ``matrix`` acts columnwise as stencil + V_ext + gamma(rho) + shift and is
-    the H-representative of the (shifted) bilinear form. The anchor density
-    is cached at construction; instances are read-only afterwards.
+    the H-representative of the (shifted) bilinear form, with gamma(rho)
+    taken at the anchor's density; instances are read-only after ``at``.
     """
 
     model: EnergyModel
-    rho: np.ndarray
     matrix: sp.csr_matrix
 
     @classmethod
     def at(cls, model: EnergyModel, phi: Frame) -> "DiscreteOperatorA":
         if phi.grid != model.grid:
             raise ShapeError("anchor frame lives on a different grid")
-        rho = density(phi)
         pattern = _operator_pattern(model.grid)
         data = pattern.stencil.data.copy()
-        data[pattern.diagonal_slots] += model.potential + model.gamma(rho) + model.shift
+        data[pattern.diagonal_slots] += model.potential + model.gamma(density(phi)) + model.shift
         # A shallow copy shares the read-only index arrays of the pattern.
         matrix = copy.copy(pattern.stencil)
         matrix.data = data
-        return cls(model=model, rho=rho, matrix=matrix)
+        return cls(model=model, matrix=matrix)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -224,7 +222,7 @@ class DiscreteOperatorA:
         """H-representative of the shifted form applied to each orbital."""
         if v.grid != self.model.grid:
             raise ShapeError("frame lives on a different grid")
-        return Frame(self.matrix @ v.values, v.grid)
+        return Frame._wrap(self.matrix @ v.values, v.grid)
 
     def bilinear(self, v: Frame, w: Frame) -> float:
         """Shifted bilinear form a_phi(v, w) + shift * (v, w)_H."""
@@ -288,16 +286,15 @@ def multiplier_eigenvalues(model: EnergyModel, lam: np.ndarray) -> np.ndarray:
 class IterateState:
     """Everything derived from one iterate, evaluated once and then shared.
 
-    Holds the iterate, its anchored operator (which carries the density),
-    the multiplier Lambda = [[phi, A phi]], the residual
-    r = A phi - phi Lambda with its H-norm, and the energy. ``at`` is the
-    one place an iterate is evaluated: the descent driver builds one state
+    Holds the iterate, its anchored operator, the multiplier
+    Lambda = [[phi, A phi]], the residual r = A phi - phi Lambda with its
+    H-norm, and the energy. ``at`` is the one place an iterate is evaluated
+    and checked for non-finite entries: the descent driver builds one state
     per visited iterate and hands it to the search direction (every
     direction takes a state, not a frame), the non-monotone update and the
-    final report. The multiplier warm
-    start phi Lambda^{-1} of the gradient solves is computed on first use
-    and then kept, so every solve at this iterate starts from the same
-    guess.
+    final report. The multiplier warm start phi Lambda^{-1} of the gradient
+    solves is computed on first use and then kept, so every solve at this
+    iterate starts from the same guess.
     """
 
     phi: Frame
@@ -309,7 +306,13 @@ class IterateState:
 
     @classmethod
     def at(cls, model: EnergyModel, phi: Frame, e: Optional[float] = None) -> "IterateState":
-        """Evaluate iterate phi; ``e`` is its energy when the caller has it."""
+        """Evaluate iterate phi; ``e`` is its energy when the caller has it.
+
+        The one finiteness check of an iterate: retractions and frame
+        arithmetic do not scan their results.
+        """
+        if not np.isfinite(phi.values).all():
+            raise ValueError("frame contains non-finite entries")
         op = DiscreteOperatorA.at(model, phi)
         r, lam = residual(model, phi, op.apply(phi))
         return cls(phi, op, lam, r, norm_h(r), energy(model, phi) if e is None else e)
@@ -328,4 +331,4 @@ class IterateState:
             values = np.linalg.solve(lam, self.phi.values.T).T
         except np.linalg.LinAlgError as exc:
             raise DegenerateFrameError("multiplier matrix is singular") from exc
-        return Frame(values, self.phi.grid)
+        return Frame._wrap(values, self.phi.grid)

@@ -141,7 +141,7 @@ def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndar
 def apply_preconditioner(kind: str, op: DiscreteOperatorA, r: Frame) -> Frame:
     """Apply the chosen preconditioner to every column of a residual frame."""
     values = _preconditioner_apply(kind, op)(r.values)
-    return r if values is r.values else Frame(values, r.grid)
+    return r if values is r.values else Frame._wrap(values, r.grid)
 
 
 def _block_product(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -351,4 +351,6 @@ def solve(
                     f"after {iterations[j]} iterations",
                     report=report,
                 )
+    # Validated, unlike the frames computed from frames: a CG breakdown is
+    # where a NaN can first appear.
     return Frame(x, b.grid), report

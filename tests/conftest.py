@@ -97,6 +97,28 @@ def force_discards(monkeypatch, discards):
     return attempts
 
 
+def poison_solve(monkeypatch, at_call):
+    """Make the ``at_call``-th Krylov solve (counting from 1) return its
+    solution with one entry replaced by NaN, as a CG breakdown would; its
+    iteration counts and residuals are reported unchanged. Returns the list
+    holding the number of solves made so far."""
+    from stiefel_rgd import solvers
+
+    pcg = solvers._pcg
+    calls = [0]
+
+    def poisoned(*args, **kwargs):
+        x, iterations, residuals = pcg(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == at_call:
+            x = np.array(x)
+            x[0, 0] = np.nan
+        return x, iterations, residuals
+
+    monkeypatch.setattr(solvers, "_pcg", poisoned)
+    return calls
+
+
 def symmetric_pair_matrices(n_orbitals):
     """Normalized symmetric basis matrices, one per index pair (i <= j)."""
     pairs = [(i, j) for i in range(n_orbitals) for j in range(i, n_orbitals)]

@@ -6,6 +6,8 @@ import yaml
 
 from stiefel_rgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
+from conftest import poison_solve
+
 
 def base_config(**overrides):
     config = {
@@ -157,6 +159,14 @@ class TestSolveCommand:
         )
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_NUMERICAL
+
+    def test_non_finite_solve_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        calls = poison_solve(monkeypatch, at_call=3)
+        path = write_config(tmp_path, base_config())
+        assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        assert calls[0] == 3
+        err = capsys.readouterr().err
+        assert "method rgd_ls failed: frame contains non-finite entries" in err
 
 
 class TestConfigValidation:

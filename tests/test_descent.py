@@ -32,6 +32,7 @@ from conftest import (
     dense_lowest_eigenpairs,
     force_discards,
     make_model,
+    poison_solve,
     reference_solver_config,
 )
 
@@ -469,3 +470,34 @@ class TestEvaluationCounts:
             # Discarded attempts and exact fallbacks shared the guess.
             assert counts["inexact"] > len(run.history)
             assert counts["exact"] >= len(run.history) // 4 > 0
+
+
+class TestNonFiniteValues:
+    """A solve whose result holds a NaN ends the run with the ValueError of
+    a non-finite frame, whichever method made the solve."""
+
+    @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
+    def test_non_finite_solve_raises(self, method, monkeypatch):
+        calls = poison_solve(monkeypatch, at_call=5)
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+        phi0 = initial_frame(model.grid, 3, 3)
+        config = reference_solver_config()
+        with pytest.raises(ValueError, match="non-finite"):
+            if method == "rgd_fixed":
+                rgd_fixed_step(model, phi0, FIXED_TAU, max_iter=30, solver_config=config)
+            else:
+                kind = {"rgd_ls": "exact_grad", "rgd_ls_inexact": "inexact_grad",
+                        "dcm": "dcm"}[method]
+                rgd_line_search(model, phi0, direction_kind=kind, max_iter=60,
+                                solver_config=config)
+        assert calls[0] == 5
+
+    def test_iterate_state_rejects_non_finite_iterate(self):
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=2)
+        phi = initial_frame(model.grid, 2, 3)
+        values = np.array(phi.values)
+        values[7, 1] = np.inf
+        # Frame(values, grid) would refuse these values; bypass it.
+        object.__setattr__(phi, "values", values)
+        with pytest.raises(ValueError, match="non-finite"):
+            IterateState.at(model, phi)

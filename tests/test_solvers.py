@@ -47,7 +47,7 @@ def identity_operator(model):
     unit shift): CG must finish in a single step."""
     nd = model.grid.n_dof
     return DiscreteOperatorA(
-        model=model, rho=np.zeros(nd), matrix=sp.identity(nd, format="csr")
+        model=model, matrix=sp.identity(nd, format="csr")
     )
 
 
@@ -179,7 +179,7 @@ class TestSolve:
         diag = np.ones(nd)
         diag[: nd // 2] = -1.0
         bad = DiscreteOperatorA(
-            model=model, rho=np.zeros(nd), matrix=sp.diags(diag, format="csr")
+            model=model, matrix=sp.diags(diag, format="csr")
         )
         b = random_frame(model.grid, 1, rng)
         with pytest.raises(OperatorNotSPDError):
@@ -309,7 +309,6 @@ class TestPreconditioners:
         op = identity_operator(model)
         scaled = DiscreteOperatorA(
             model=model,
-            rho=np.zeros(model.grid.n_dof),
             matrix=(4.0 * sp.identity(model.grid.n_dof)).tocsr(),
         )
         r = random_frame(model.grid, 1, rng)
