@@ -69,6 +69,8 @@ def _field(section: dict, path: str, key: str, kind, default=None, required: boo
         return default
     value = section[key]
     try:
+        if kind in (int, float) and isinstance(value, bool):
+            raise ValueError  # YAML true/false, which int() and float() accept
         if kind is float:
             return float(value)
         if kind is int:
@@ -140,6 +142,11 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
         model = EnergyModel(grid, potential, kappa, sigma, n_orbitals)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"section 'model': {exc}") from exc
+    if n_orbitals > grid.n_dof:
+        raise ConfigError(
+            f"field 'model.n_orbitals': {n_orbitals} orbitals need at least as many "
+            f"grid unknowns, got {grid.n_dof}"
+        )
     return model, seed
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateFrameError
 from .frames import Frame, inner_h, outer_product
@@ -29,19 +28,21 @@ class SearchDirection:
 def _gradient(state: IterateState, config: SolveConfig, kind: str) -> SearchDirection:
     """eta = X G^{-1} - phi, with X from a solve of A X = phi started at the
     iterate's multiplier warm start phi Lambda^{-1} and G = [[phi, X]] the
-    Gram matrix of phi against X, inverted by Cholesky. A singular G raises
-    DegenerateFrameError, with a hint to raise the budget when the solve
-    was truncated (``config.fixed_iters``)."""
+    Gram matrix of phi against X. The N x N inverse G^{-1} = L^{-T} L^{-1}
+    comes from the Cholesky factor G = L L^T and mixes X in one matrix
+    product. A singular G raises DegenerateFrameError, with a hint to raise
+    the budget when the solve was truncated (``config.fixed_iters``)."""
     x, report = solve(state.op, state.phi, config, warm_start=state.multiplier_warm_start)
     g = outer_product(state.phi, x)
     try:
-        factor = sla.cho_factor(0.5 * (g + g.T))
+        lower = np.linalg.cholesky(0.5 * (g + g.T))
     except np.linalg.LinAlgError as exc:
         raise DegenerateFrameError(
             "Gram matrix is numerically singular" if config.fixed_iters is None
             else "inexact solve produced a degenerate Gram matrix; increase fixed_iters"
         ) from exc
-    eta = Frame._wrap(sla.cho_solve(factor, x.values.T).T - state.phi.values, x.grid)
+    lower_inv = np.linalg.inv(lower)
+    eta = Frame._wrap(x.values @ (lower_inv.T @ lower_inv) - state.phi.values, x.grid)
     return SearchDirection(
         direction=eta,
         gram_of_direction=state.op.bilinear(eta, eta),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, RankDeficiencyError
 from .frames import Frame, multiply_right, outer_product
@@ -137,15 +136,16 @@ def retract_qr_mgs(v: Frame) -> Tuple[Frame, np.ndarray]:
 
 
 def retract_qr_cholesky(phi: Frame, eta: Frame) -> Frame:
-    """qR retraction computed via Cholesky of the Gram matrix."""
+    """qR retraction computed via Cholesky of the Gram matrix ``L L^T``:
+    (phi + eta) times the inverse of the N x N triangular factor ``L^T``,
+    in one matrix product."""
     moved = phi + eta
     gram = outer_product(moved, moved)
     try:
-        f = sla.cholesky(0.5 * (gram + gram.T), lower=False)
+        lower = np.linalg.cholesky(0.5 * (gram + gram.T))
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("Gram matrix is not positive definite") from exc
-    values = sla.solve_triangular(f.T, moved.values.T, lower=True).T
-    return Frame._wrap(values, moved.grid)
+    return Frame._wrap(moved.values @ np.linalg.inv(lower).T, moved.grid)
 
 
 def retract(phi: Frame, eta: Frame, kind: str = POLAR) -> Frame:

@@ -324,11 +324,11 @@ class IterateState:
         Exact at a critical point, where A phi = phi Lambda, so its error
         tracks the outer iteration: its residual phi - A phi Lambda^{-1}
         is -r Lambda^{-1}. Raises DegenerateFrameError when Lambda is
-        singular, which for SPD A means phi has dependent columns.
+        singular, which for SPD A means phi has dependent columns. The
+        N x N inverse mixes phi in one matrix product.
         """
-        lam = 0.5 * (self.lam + self.lam.T)
         try:
-            values = np.linalg.solve(lam, self.phi.values.T).T
+            lam_inv = np.linalg.inv(0.5 * (self.lam + self.lam.T))
         except np.linalg.LinAlgError as exc:
             raise DegenerateFrameError("multiplier matrix is singular") from exc
-        return Frame._wrap(values, self.phi.grid)
+        return Frame._wrap(self.phi.values @ lam_inv, self.phi.grid)

@@ -205,6 +205,34 @@ class TestConfigValidation:
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_CONFIG
 
+    def test_more_orbitals_than_unknowns_rejected(self, tmp_path, capsys):
+        config = base_config()
+        config["model"]["grid_points"] = 4
+        config["model"]["n_orbitals"] = 6
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert "model.n_orbitals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("model", "kappa"), ("model", "n_orbitals"), ("solver", "rel_tol"),
+         ("solver", "max_iters")],
+    )
+    def test_boolean_number_rejected(self, tmp_path, capsys, section, key):
+        # YAML reads true/on/yes as a bool, which int() and float() accept.
+        config = base_config()
+        config[section][key] = True
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["fixed_iters", "tau"])
+    def test_boolean_method_number_rejected(self, tmp_path, capsys, key):
+        config = base_config(methods=[{"name": "rgd_ls_inexact", key: True}])
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert f"'methods[0].{key}'" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_analytic_spectrum_free_particle(self, tmp_path):

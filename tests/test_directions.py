@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from stiefel_rgd import (
     DiscreteOperatorA,
@@ -24,7 +25,7 @@ from stiefel_rgd import (
     solve,
 )
 from stiefel_rgd import directions
-from stiefel_rgd.directions import EXACT_GRAD, INEXACT_GRAD
+from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD
 from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
 
 from conftest import (
@@ -225,6 +226,58 @@ class TestWarmStartedExactGradient:
 
             _, cold = solve(state.op, phi, config)
             assert sd.inner_effort < cold.total_iterations
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def early_iterates(request):
+    """The start frame and iterates 5 and 20 of a short dcm run: the 1D
+    three-orbital reference problem, or 2D 32^2 with four orbitals."""
+    if request.param == 1:
+        model = make_model(n=128, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+    else:
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+    run = rgd_line_search(model, initial_frame(model.grid, model.n_orbitals, 1000),
+                          direction_kind=DCM, tol=1e-12, max_iter=20,
+                          solver_config=reference_solver_config(), log_frames=True)
+    return model, [run.frames[k] for k in (0, 5, 20)]
+
+
+def relative_gap(values, oracle):
+    return np.linalg.norm(values - oracle) / np.linalg.norm(oracle)
+
+
+class TestMixesAgreeWithSolves:
+    """The N x N inverses of the warm start phi Lambda^{-1} and of the
+    gradient X G^{-1} - phi mix the frame in one matrix product; each agrees
+    with the solve against n_dof right-hand sides it replaces."""
+
+    def test_warm_start_matches_solve(self, early_iterates):
+        model, frames = early_iterates
+        for phi in frames:
+            state = IterateState.at(model, phi)
+            lam = 0.5 * (state.lam + state.lam.T)
+            oracle = np.linalg.solve(lam, phi.values.T).T
+            assert relative_gap(state.multiplier_warm_start.values, oracle) <= 1e-13
+
+    def test_exact_gradient_matches_cholesky_solve(self, early_iterates, monkeypatch):
+        model, frames = early_iterates
+        solutions = []
+
+        def recording_solve(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            solutions.append(x)
+            return x, report
+
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        for phi in frames:
+            solutions.clear()
+            sd = riemannian_gradient(IterateState.at(model, phi), reference_solver_config())
+            (x,) = solutions
+            g = outer_product(phi, x)
+            factor = sla.cho_factor(0.5 * (g + g.T))
+            oracle = sla.cho_solve(factor, x.values.T).T - phi.values
+            assert relative_gap(sd.direction.values, oracle) <= 1e-13
 
 
 class TestNormalComponentIdentities:

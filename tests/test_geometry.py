@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from stiefel_rgd import (
     DegenerateFrameError,
@@ -228,6 +229,23 @@ class TestCholeskyRetraction:
         eta = random_tangent(model, phi, rng)
         mgs, _ = retract_qr_mgs(phi + eta)
         assert norm_h(retract_qr_cholesky(phi, eta) - mgs) <= 1e-10
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_matches_triangular_solve(self, rng, dimension):
+        # One product with the inverse N x N factor replaces a triangular
+        # solve against n_dof right-hand sides.
+        n = 128 if dimension == 1 else 32
+        model = make_model(n=n, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=dimension)
+        phi, _ = retract_qr_mgs(random_frame(model.grid, 4, rng))
+        for scale in (0.1, 1.0):
+            eta = scale * random_tangent(model, phi, rng, normalized=True)
+            moved = phi + eta
+            gram = outer_product(moved, moved)
+            f = sla.cholesky(0.5 * (gram + gram.T), lower=False)
+            oracle = sla.solve_triangular(f.T, moved.values.T, lower=True).T
+            values = retract_qr_cholesky(phi, eta).values
+            assert np.linalg.norm(values - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
 
 class TestRetractionAxioms:

@@ -299,6 +299,38 @@ class TestBlockedColumns:
         assert report.iterations_per_column == [3, 3, 3, 3]
         assert calls == [(model.grid.n_dof, 4)] * 3
 
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("fixed_iters", [1, 3, 6])
+    def test_fixed_mode_sparse_products(self, op, model, rng, monkeypatch, fixed_iters, warm):
+        # A zero start takes r = b and fixed mode reads no final true
+        # residual: k products from a zero start, one more from a warm start.
+        calls = []
+        make_product = solvers._block_product
+
+        def counting(matrix):
+            product = make_product(matrix)
+
+            def counted(block):
+                calls.append(block.shape)
+                return product(block)
+
+            return counted
+
+        monkeypatch.setattr(solvers, "_block_product", counting)
+        b = random_frame(model.grid, 4, rng)
+        x0 = random_frame(model.grid, 4, rng) if warm else None
+        x, report = solve(
+            op, b, SolveConfig(fixed_iters=fixed_iters, preconditioner="kinetic_shift"),
+            warm_start=x0,
+        )
+        assert report.iterations_per_column == [fixed_iters] * 4
+        assert calls == [(model.grid.n_dof, 4)] * (fixed_iters + warm)
+        # The reported recursive residual is the true one up to round-off.
+        for j in range(4):
+            true_res = np.linalg.norm(b.values[:, j] - op.matrix @ x.values[:, j])
+            true_rel = true_res / np.linalg.norm(b.values[:, j])
+            assert report.final_relative_residuals[j] == pytest.approx(true_rel, rel=1e-10)
+
 
 class TestPreconditioners:
     def test_none_is_identity(self, op, model, rng):
