@@ -9,6 +9,7 @@ The YAML grammar is documented in the README.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -72,7 +73,10 @@ def _field(section: dict, path: str, key: str, kind, default=None, required: boo
         if kind in (int, float) and isinstance(value, bool):
             raise ValueError  # YAML true/false, which int() and float() accept
         if kind is float:
-            return float(value)
+            coerced = float(value)
+            if not math.isfinite(coerced):
+                raise ValueError  # YAML .nan and .inf: no field takes a non-finite value
+            return coerced
         if kind is int:
             coerced = int(value)
             if coerced != float(value):
@@ -86,7 +90,7 @@ def _field(section: dict, path: str, key: str, kind, default=None, required: boo
             if not isinstance(value, str):
                 raise ValueError
             return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
         raise ConfigError(f"field '{path}.{key}' has invalid value {value!r}") from None
     return value
 

@@ -162,7 +162,7 @@ def _descend(
         if frames is not None:
             frames.append(phi)
         try:
-            sd = compute_direction(state, direction_kind, config, fixed_iters)
+            sd = compute_direction(state, direction_kind, config, fixed_iters, prev_eta)
         except NumericalError:
             history.append(
                 IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, c, q,

@@ -4,6 +4,7 @@ preconditioned direct-constrained-minimization (DCM) direction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -23,16 +24,22 @@ class SearchDirection:
     gram_of_direction: float  # shifted-form energy product of the direction
     inner_effort: int  # total inner Krylov iterations spent
     kind: str
+    # X - phi Lambda^{-1} of a tolerance-mode gradient solve, recycled into
+    # the next iterate's start; None for truncated solves and DCM.
+    correction: Optional[Frame] = None
 
 
-def _gradient(state: IterateState, config: SolveConfig, kind: str) -> SearchDirection:
-    """eta = X G^{-1} - phi, with X from a solve of A X = phi started at the
-    iterate's multiplier warm start phi Lambda^{-1} and G = [[phi, X]] the
-    Gram matrix of phi against X. The N x N inverse G^{-1} = L^{-T} L^{-1}
-    comes from the Cholesky factor G = L L^T and mixes X in one matrix
-    product. A singular G raises DegenerateFrameError, with a hint to raise
-    the budget when the solve was truncated (``config.fixed_iters``)."""
-    x, report = solve(state.op, state.phi, config, warm_start=state.multiplier_warm_start)
+def _gradient(
+    state: IterateState, config: SolveConfig, kind: str, start: Frame
+) -> SearchDirection:
+    """eta = X G^{-1} - phi, with X from a solve of A X = phi started at
+    ``start`` and G = [[phi, X]] the Gram matrix of phi against X. The
+    N x N inverse G^{-1} = L^{-T} L^{-1} comes from the Cholesky factor
+    G = L L^T and mixes X in one matrix product. A singular G raises
+    DegenerateFrameError, with a hint to raise the budget when the solve
+    was truncated (``config.fixed_iters``). A tolerance-mode solve keeps
+    its correction X - phi Lambda^{-1} on the result."""
+    x, report = solve(state.op, state.phi, config, warm_start=start)
     g = outer_product(state.phi, x)
     try:
         lower = np.linalg.cholesky(0.5 * (g + g.T))
@@ -48,10 +55,38 @@ def _gradient(state: IterateState, config: SolveConfig, kind: str) -> SearchDire
         gram_of_direction=state.op.bilinear(eta, eta),
         inner_effort=report.total_iterations,
         kind=kind,
+        correction=(x - state.multiplier_warm_start) if config.fixed_iters is None else None,
     )
 
 
-def riemannian_gradient(state: IterateState, config: SolveConfig) -> SearchDirection:
+def recycled_start(state: IterateState, correction: Optional[Frame]) -> Frame:
+    """Start phi Lambda^{-1} + E diag(c) of the exact solve at ``state``.
+
+    E is the previous iterate's ``correction`` and c_j = <E_j, rho_j> /
+    <E_j, A E_j>, with rho = -r Lambda^{-1} the residual of phi Lambda^{-1},
+    read from the state. This c_j minimizes the A-norm error of the start
+    along E_j, so column by column that error is never larger than that of
+    phi Lambda^{-1}; c_j = 0 where E_j = 0. One sparse product, A E.
+    Without a correction the start is phi Lambda^{-1}.
+    """
+    guess = state.multiplier_warm_start
+    if correction is None:
+        return guess
+    e = correction.values
+    rho = -(state.r.values @ state.multiplier_inverse)
+    e_rho = np.vecdot(e.T, rho.T)  # one dot per column
+    e_ae = np.vecdot(e.T, (state.op.matrix @ e).T)
+    c = np.divide(e_rho, e_ae, out=np.zeros_like(e_rho), where=e_ae > 0.0)
+    start = e * c
+    start += guess.values
+    return Frame._wrap(start, guess.grid)
+
+
+def riemannian_gradient(
+    state: IterateState,
+    config: SolveConfig,
+    previous: Optional[SearchDirection] = None,
+) -> SearchDirection:
     """Negative Riemannian gradient in the energy-adaptive metric at ``state``.
 
     Solves A X = phi to the configured tolerance, then eta = X G^{-1} - phi
@@ -60,11 +95,15 @@ def riemannian_gradient(state: IterateState, config: SolveConfig) -> SearchDirec
     multiplier warm start phi Lambda^{-1}, whose residual -r Lambda^{-1}
     vanishes with the eigenvector residual r; for orthonormal phi,
     X G^{-1} - phi vanishes at that guess, so the direction is carried by
-    the CG correction alone.
+    the CG correction alone. Given the previous iterate's direction
+    ``previous``, the start adds that solve's correction, scaled per
+    column by a Galerkin factor (see ``recycled_start``): consecutive
+    corrections are close, so CG has less left to find.
     """
     if config.fixed_iters is not None:
         raise ValueError("the exact gradient requires a tolerance-mode solver config")
-    return _gradient(state, config, EXACT_GRAD)
+    correction = previous.correction if previous is not None else None
+    return _gradient(state, config, EXACT_GRAD, recycled_start(state, correction))
 
 
 def inexact_gradient(
@@ -72,11 +111,14 @@ def inexact_gradient(
 ) -> SearchDirection:
     """Gradient surrogate from a fixed number of preconditioned CG steps.
 
-    Built exactly like the exact gradient, from the same warm start, but
-    with the solve of A Y = phi truncated after ``fixed_iters`` steps. Not
-    re-projected: the retraction absorbs the normal component.
+    Built like the exact gradient, but with the solve of A Y = phi
+    truncated after ``fixed_iters`` steps and started from phi Lambda^{-1}
+    alone: adding the recycled correction of the exact gradient to this
+    start made the truncated directions worse (README, "Numerical notes").
+    Not re-projected: the retraction absorbs the normal component.
     """
-    return _gradient(state, replace(config, fixed_iters=fixed_iters), INEXACT_GRAD)
+    return _gradient(state, replace(config, fixed_iters=fixed_iters), INEXACT_GRAD,
+                     state.multiplier_warm_start)
 
 
 def dcm_direction(
@@ -124,11 +166,19 @@ def safeguarded_inexact_gradient(
 
 
 def compute_direction(
-    state: IterateState, kind: str, config: SolveConfig, fixed_iters: int
+    state: IterateState,
+    kind: str,
+    config: SolveConfig,
+    fixed_iters: int,
+    previous: Optional[SearchDirection] = None,
 ) -> SearchDirection:
-    """The search direction of kind ``kind`` at the evaluated iterate ``state``."""
+    """The search direction of kind ``kind`` at the evaluated iterate ``state``.
+
+    ``previous`` is the direction taken from the previous iterate; only the
+    exact gradient reads it, to recycle its solve's correction.
+    """
     if kind == EXACT_GRAD:
-        return riemannian_gradient(state, config)
+        return riemannian_gradient(state, config, previous)
     if kind == INEXACT_GRAD:
         return safeguarded_inexact_gradient(state, fixed_iters, config)
     if kind == DCM:

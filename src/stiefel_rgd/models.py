@@ -292,9 +292,8 @@ class IterateState:
     and checked for non-finite entries: the descent driver builds one state
     per visited iterate and hands it to the search direction (every
     direction takes a state, not a frame), the non-monotone update and the
-    final report. The multiplier warm start phi Lambda^{-1} of the gradient
-    solves is computed on first use and then kept, so every solve at this
-    iterate starts from the same guess.
+    final report. The multiplier inverse and the warm start phi Lambda^{-1}
+    of the gradient solves are computed on first use and then kept.
     """
 
     phi: Frame
@@ -318,17 +317,27 @@ class IterateState:
         return cls(phi, op, lam, r, norm_h(r), energy(model, phi) if e is None else e)
 
     @cached_property
+    def multiplier_inverse(self) -> np.ndarray:
+        """Lambda^{-1} of the symmetrized multiplier, computed on first use.
+
+        Raises DegenerateFrameError when Lambda is singular, which for SPD A
+        means phi has dependent columns.
+        """
+        try:
+            return np.linalg.inv(0.5 * (self.lam + self.lam.T))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateFrameError("multiplier matrix is singular") from exc
+
+    @cached_property
     def multiplier_warm_start(self) -> Frame:
-        """Initial guess phi Lambda^{-1} for A X = phi, from the cached Lambda.
+        """The guess phi Lambda^{-1} for A X = phi, computed on first use.
 
         Exact at a critical point, where A phi = phi Lambda, so its error
         tracks the outer iteration: its residual phi - A phi Lambda^{-1}
-        is -r Lambda^{-1}. Raises DegenerateFrameError when Lambda is
-        singular, which for SPD A means phi has dependent columns. The
-        N x N inverse mixes phi in one matrix product.
+        is -r Lambda^{-1}, known without a product. Every truncated solve
+        at this iterate starts from it; the exact solve adds the recycled
+        correction of the previous iterate's solve to it (see
+        ``directions.riemannian_gradient``). The N x N inverse mixes phi in
+        one matrix product.
         """
-        try:
-            lam_inv = np.linalg.inv(0.5 * (self.lam + self.lam.T))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateFrameError("multiplier matrix is singular") from exc
-        return Frame._wrap(self.phi.values @ lam_inv, self.phi.grid)
+        return Frame._wrap(self.phi.values @ self.multiplier_inverse, self.phi.grid)

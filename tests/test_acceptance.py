@@ -62,7 +62,8 @@ def energy_roundoff(e):
 
 def test_criterion_01_retraction_axioms():
     with criterion(1, "retraction axioms (100 samples, n=256, N=4)"):
-        start = time.perf_counter()
+        # CPU time of this process, so that other load on the machine does not count.
+        start = time.process_time()
         model = make_model(n=256, length=1.0, omega=8.0, kappa=5.0, n_orbitals=4)
         rng = np.random.default_rng(2024)
         for _ in range(100):
@@ -76,7 +77,7 @@ def test_criterion_01_retraction_axioms():
                     retract(phi, t * eta, kind) - retract(phi, (-t) * eta, kind)
                 )
                 assert norm_h(fd - eta) <= 1e-6
-        assert time.perf_counter() - start < 5.0
+        assert time.process_time() - start < 5.0
 
 
 def test_criterion_02_second_order_bounds():

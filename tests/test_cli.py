@@ -234,6 +234,30 @@ class TestConfigValidation:
         assert f"'methods[0].{key}'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("methods", "gamma0", float("nan")), ("methods", "gamma_max", float("inf")),
+         ("model", "kappa", float("nan")), ("model", "kappa", float("inf")),
+         ("methods", "tol", float("nan")), ("model", "sigma", float("inf")),
+         ("methods", "max_iter", float("inf"))],
+        ids=["gamma0-nan", "gamma_max-inf", "kappa-nan", "kappa-inf", "tol-nan",
+             "sigma-inf", "max_iter-inf"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, section, key, value):
+        # YAML reads .nan and .inf as floats, which float() and int() accept or overflow on.
+        config = base_config()
+        config["model"]["grid_points"] = 16
+        if section == "methods":
+            config["methods"][0][key] = value
+            field = f"'methods[0].{key}'"
+        else:
+            config[section][key] = value
+            field = f"'{section}.{key}'"
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_analytic_spectrum_free_particle(self, tmp_path):
         config = base_config()

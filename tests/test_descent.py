@@ -410,9 +410,12 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
     def test_one_warm_start_per_iterate(self, method, monkeypatch):
-        """phi Lambda^{-1} is computed at most once per visited iterate, and
-        every solve at that iterate, across inexact attempts and the exact
-        fallback, starts from that same guess."""
+        """phi Lambda^{-1} is computed at most once per visited iterate. Every
+        inexact attempt and exact fallback starts from it, and so does the
+        exact solve at the first iterate. Every later exact solve of the
+        exact methods starts from phi Lambda^{-1} + E diag(c), with E the
+        previous solve's correction and c its Galerkin factors, recomputed
+        here from the true residual of phi Lambda^{-1}."""
         import functools
 
         import stiefel_rgd.directions as directions
@@ -428,8 +431,9 @@ class TestEvaluationCounts:
             return warm_start.func(state)
 
         def recording_solve(op, b, config, warm_start=None):
-            solves.append((op, warm_start))
-            return solve(op, b, config, warm_start=warm_start)
+            x, report = solve(op, b, config, warm_start=warm_start)
+            solves.append((op, b, config.fixed_iters, warm_start, x))
+            return x, report
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -461,15 +465,48 @@ class TestEvaluationCounts:
 
         assert run.termination in (TERMINATION_RESIDUAL, TERMINATION_MAX_ITER)
         assert len({id(state) for state in computed}) == len(computed)
-        # Every gradient direction starts from the guess; DCM never uses it.
+        # Every gradient direction computes the guess; DCM never uses it.
         assert len(computed) == (0 if method == "dcm" else len(run.history))
         guesses = {id(state.op): state.multiplier_warm_start for state in computed}
-        for op, start in solves:
-            assert start is guesses.get(id(op))
+        previous = None  # (guess, solution) of the last exact solve
+        recycled = 0
+        for op, b, fixed_iters, start, x in solves:
+            guess = guesses.get(id(op))
+            if fixed_iters is not None or method == "rgd_ls_inexact" or previous is None:
+                assert start is guess
+            else:
+                e = previous[1].values - previous[0].values
+                rho = b.values - op.matrix @ guess.values
+                a_e = op.matrix @ e
+                c = np.sum(e * rho, axis=0) / np.sum(e * a_e, axis=0)
+                expected = guess.values + e * c
+                gap = np.linalg.norm(start.values - expected)
+                assert gap <= 1e-12 * np.linalg.norm(expected)
+                assert np.linalg.norm(start.values - guess.values) > 1e3 * gap
+                recycled += 1
+            if fixed_iters is None:
+                previous = (guess, x)
+        if method in ("rgd_fixed", "rgd_ls"):
+            assert recycled == len(solves) - 1 == run.iterations
         if method == "rgd_ls_inexact":
             # Discarded attempts and exact fallbacks shared the guess.
             assert counts["inexact"] > len(run.history)
             assert counts["exact"] >= len(run.history) // 4 > 0
+
+
+class TestRecycledExactSolves:
+    """Recycling the previous solve's correction into the exact gradient's
+    start halves the Krylov work on the 2D trap without more outer steps."""
+
+    def test_inner_iterations_on_2d_trap(self):
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+        run = rgd_line_search(model, initial_frame(model.grid, 4, 1000), tol=1e-6,
+                              max_iter=2000, solver_config=reference_solver_config())
+        assert run.termination == TERMINATION_RESIDUAL
+        # 21789 inner iterations in 632 steps from phi Lambda^{-1} alone.
+        assert run.total_inner_iterations <= 0.6 * 21789
+        assert run.iterations <= 632
 
 
 class TestNonFiniteValues:

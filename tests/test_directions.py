@@ -280,6 +280,82 @@ class TestMixesAgreeWithSolves:
             assert relative_gap(sd.direction.values, oracle) <= 1e-13
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def exact_solves(request):
+    """Every solve of the first 30 iterates of exact rgd_ls from start frame
+    1000, as (operator, right-hand side phi, start): the 1D n=128 N=3
+    reference problem, or 2D 32^2 with four orbitals."""
+    if request.param == 1:
+        model = make_model(n=128, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+    else:
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+    solves = []
+
+    def recording_solve(op, b, config, warm_start=None):
+        solves.append((op, b, warm_start))
+        return solve(op, b, config, warm_start=warm_start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(directions, "solve", recording_solve)
+        run = rgd_line_search(model, initial_frame(model.grid, model.n_orbitals, 1000),
+                              tol=1e-12, max_iter=30,
+                              solver_config=reference_solver_config())
+    assert len(solves) == len(run.history) == 31
+    return model, solves
+
+
+class TestRecycledStart:
+    """From the second iterate on, the exact solve starts from phi Lambda^{-1}
+    plus the previous solve's correction, scaled per column by a Galerkin
+    factor; truncated solves and DCM carry no correction."""
+
+    def test_error_never_above_multiplier_guess(self, exact_solves):
+        model, solves = exact_solves
+        ratios = []
+        for op, phi, start in solves[1:]:
+            a = op.matrix
+            x = dense_a_solve(model, phi)(phi).values
+            lam = model.grid.weight * phi.values.T @ (a @ phi.values)
+            guess = np.linalg.solve(0.5 * (lam + lam.T), phi.values.T).T
+
+            def a_norm_error(y):
+                e = x - y
+                return np.sqrt(np.sum(e * (a @ e), axis=0))
+
+            plain, recycled = a_norm_error(guess), a_norm_error(start.values)
+            # Column by column; the slack covers the dense solve's round-off.
+            assert np.all(recycled <= plain * (1.0 + 1e-9))
+            ratios.extend((recycled / plain).tolist())
+        # The bound holds with room to spare: recycling removes most of the error.
+        assert np.median(ratios) <= 0.5
+
+    def test_exact_correction_is_solution_minus_guess(self, exact_solves, monkeypatch):
+        model, solves = exact_solves
+        solutions = []
+
+        def recording_solve(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            solutions.append(x)
+            return x, report
+
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        state = IterateState.at(model, solves[5][1])
+        sd = riemannian_gradient(state, reference_solver_config())
+        (x,) = solutions
+        np.testing.assert_array_equal(
+            sd.correction.values, x.values - state.multiplier_warm_start.values)
+
+    def test_truncated_directions_carry_no_correction(self, exact_solves):
+        model, solves = exact_solves
+        state = IterateState.at(model, solves[5][1])
+        config = reference_solver_config()
+        assert dcm_direction(state, 3, config).correction is None
+        assert inexact_gradient(state, 3, config).correction is None
+        sd = safeguarded_inexact_gradient(state, 3, config)
+        assert sd.kind == INEXACT_GRAD and sd.correction is None
+
+
 class TestNormalComponentIdentities:
     def test_psi_solves_normal_space_conditions(self, model, phi, rng):
         solve = dense_a_solve(model, phi)
