@@ -95,6 +95,24 @@ def _field(section: dict, path: str, key: str, kind, default=None, required: boo
     return value
 
 
+def _center(spec: dict, dimension: int) -> Optional[list]:
+    """``model.potential.center``: None when absent, else a finite number or
+    a list of them, with one entry per dimension (a bare number is one)."""
+    value = spec.get("center")
+    if value is None:
+        return None
+    entries = value if isinstance(value, list) else [value]
+    if len(entries) != dimension or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        for x in entries
+    ):
+        raise ConfigError(
+            f"field 'model.potential.center' has invalid value {value!r}; "
+            f"need {dimension} finite number(s)"
+        )
+    return [float(x) for x in entries]
+
+
 def _build_potential(grid: GridSpec, spec, base_dir: Path) -> np.ndarray:
     if spec is None:
         return potential_zero(grid)
@@ -105,13 +123,11 @@ def _build_potential(grid: GridSpec, spec, base_dir: Path) -> np.ndarray:
         return potential_zero(grid)
     if kind == "harmonic":
         omega = _field(spec, "model.potential", "omega", float, required=True)
-        center = spec.get("center")
-        return potential_harmonic(grid, omega, center)
+        return potential_harmonic(grid, omega, _center(spec, grid.dimension))
     if kind == "well":
         depth = _field(spec, "model.potential", "depth", float, required=True)
         width = _field(spec, "model.potential", "width", float, required=True)
-        center = spec.get("center")
-        return potential_well(grid, depth, width, center)
+        return potential_well(grid, depth, width, _center(spec, grid.dimension))
     if kind == "file":
         path = _field(spec, "model.potential", "path", str, required=True)
         resolved = Path(path)
@@ -144,6 +160,8 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
         grid = GridSpec(dimension, n, length, boundary)
         potential = _build_potential(grid, section.get("potential"), base_dir)
         model = EnergyModel(grid, potential, kappa, sigma, n_orbitals)
+    except ConfigError:
+        raise  # already names its field
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"section 'model': {exc}") from exc
     if n_orbitals > grid.n_dof:

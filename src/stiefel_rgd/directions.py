@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateFrameError
 from .frames import Frame, inner_h, outer_product
-from .models import IterateState
+from .models import DiscreteOperatorA, IterateState
 from .solvers import SolveConfig, solve
 
 EXACT_GRAD = "exact_grad"
@@ -18,28 +18,105 @@ INEXACT_GRAD = "inexact_grad"
 DCM = "dcm"
 
 
+# The exact gradient's start is a Galerkin projection onto the corrections
+# of the last WINDOW exact solves, every column of each. RIDGE is added to
+# the unit diagonal of the Jacobi-scaled Galerkin matrix. It bounds how far
+# round-off in A V moves the start: with 1e-12, reordering the window's
+# columns or recomputing A V by fresh products moved fixed-step starts by
+# up to 3e-10 relative; with 1e-9, by 5e-12 to 7e-12 (README, "Numerical
+# notes").
+WINDOW = 8
+RIDGE = 1e-9
+
+
+class CorrectionWindow:
+    """The corrections E = X - phi Lambda^{-1} of the last ``WINDOW`` exact
+    gradient solves as the columns of V, all N columns of each, with A V
+    for the operator A whose diagonal is ``diagonal``.
+
+    A window is handed from one exact gradient to the next, which updates
+    it in place; it always holds valid corrections with their products.
+    Between iterates the anchored operator changes on its diagonal only
+    (potential + kappa rho + shift on a fixed stencil), so ``move_to``
+    brings A V to another iterate's operator without a sparse product:
+    A_n V = A_{n-1} V + diag(d_n - d_{n-1}) V. ``push`` writes a new
+    correction over the oldest one once the window is full, so the
+    columns are in ring order, not in age order. The storage is allocated
+    once and F-ordered, so every column is contiguous.
+    """
+
+    def __init__(self, n_dof: int, n_orbitals: int):
+        shape = (n_dof, WINDOW * n_orbitals)
+        self._corrections = np.zeros(shape, order="F")
+        self._products = np.zeros(shape, order="F")
+        self.diagonal: Optional[np.ndarray] = None
+        self._size = 0  # columns held, always the first ones
+        self._next = 0  # first column of the next push
+
+    @property
+    def corrections(self) -> np.ndarray:
+        """V, a read-only ``(n_dof, size)`` view."""
+        return _read_only(self._corrections[:, :self._size])
+
+    @property
+    def products(self) -> np.ndarray:
+        """A V, a read-only ``(n_dof, size)`` view."""
+        return _read_only(self._products[:, :self._size])
+
+    def move_to(self, op: DiscreteOperatorA) -> None:
+        """Bring A V to ``op`` by the change of the diagonal alone."""
+        products = self._products[:, :self._size]
+        products += self._corrections[:, :self._size] * (op.diagonal - self.diagonal)[:, None]
+        self.diagonal = op.diagonal
+
+    def push(self, correction: np.ndarray, op: DiscreteOperatorA) -> None:
+        """Add ``correction``, found at ``op``, to a window at ``op``. One
+        sparse product: A E of the new correction."""
+        cols = slice(self._next, self._next + correction.shape[1])
+        self._corrections[:, cols] = correction
+        self._products[:, cols] = op.matrix @ correction
+        self.diagonal = op.diagonal
+        self._size = max(self._size, cols.stop)
+        self._next = cols.stop % self._corrections.shape[1]
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.setflags(write=False)
+    return view
+
+
 @dataclass
 class SearchDirection:
+    """A direction at one iterate, with what the next iterate reuses.
+
+    An exact gradient carries the ``window`` of corrections of the last
+    ``WINDOW`` exact solves, its own included, with their products at its
+    iterate's operator. The next exact gradient, given this direction as
+    ``previous``, takes the window over and updates it in place. Truncated
+    solves, DCM and the exact fallback of the inexact safeguard carry no
+    window (None), so an exact solve after them starts from
+    phi Lambda^{-1}.
+    """
+
     direction: Frame
     gram_of_direction: float  # shifted-form energy product of the direction
     inner_effort: int  # total inner Krylov iterations spent
     kind: str
-    # X - phi Lambda^{-1} of a tolerance-mode gradient solve, recycled into
-    # the next iterate's start; None for truncated solves and DCM.
-    correction: Optional[Frame] = None
+    window: Optional[CorrectionWindow] = None
 
 
 def _gradient(
-    state: IterateState, config: SolveConfig, kind: str, start: Frame
-) -> SearchDirection:
-    """eta = X G^{-1} - phi, with X from a solve of A X = phi started at
-    ``start`` and G = [[phi, X]] the Gram matrix of phi against X. The
-    N x N inverse G^{-1} = L^{-T} L^{-1} comes from the Cholesky factor
-    G = L L^T and mixes X in one matrix product. A singular G raises
-    DegenerateFrameError, with a hint to raise the budget when the solve
-    was truncated (``config.fixed_iters``). A tolerance-mode solve keeps
-    its correction X - phi Lambda^{-1} on the result."""
-    x, report = solve(state.op, state.phi, config, warm_start=start)
+    state: IterateState, config: SolveConfig, kind: str,
+    window: Optional[CorrectionWindow] = None,
+) -> tuple[SearchDirection, Frame]:
+    """eta = X G^{-1} - phi and X, with X from a solve of A X = phi
+    started at ``recycled_start(state, window)`` and G = [[phi, X]] the
+    Gram matrix of phi against X. The N x N inverse G^{-1} = L^{-T} L^{-1}
+    comes from the Cholesky factor G = L L^T and mixes X in one matrix
+    product. A singular G raises DegenerateFrameError, with a hint to raise
+    the budget when the solve was truncated (``config.fixed_iters``). The
+    direction carries no window."""
+    x, report = solve(state.op, state.phi, config, warm_start=recycled_start(state, window))
     g = outer_product(state.phi, x)
     try:
         lower = np.linalg.cholesky(0.5 * (g + g.T))
@@ -55,31 +132,50 @@ def _gradient(
         gram_of_direction=state.op.bilinear(eta, eta),
         inner_effort=report.total_iterations,
         kind=kind,
-        correction=(x - state.multiplier_warm_start) if config.fixed_iters is None else None,
-    )
+    ), x
 
 
-def recycled_start(state: IterateState, correction: Optional[Frame]) -> Frame:
-    """Start phi Lambda^{-1} + E diag(c) of the exact solve at ``state``.
+def recycled_start(state: IterateState, window: Optional[CorrectionWindow]) -> Frame:
+    """Start phi Lambda^{-1} + V C of the exact solve at ``state``.
 
-    E is the previous iterate's ``correction`` and c_j = <E_j, rho_j> /
-    <E_j, A E_j>, with rho = -r Lambda^{-1} the residual of phi Lambda^{-1},
-    read from the state. This c_j minimizes the A-norm error of the start
-    along E_j, so column by column that error is never larger than that of
-    phi Lambda^{-1}; c_j = 0 where E_j = 0. One sparse product, A E.
-    Without a correction the start is phi Lambda^{-1}.
+    V holds the corrections of ``window``, whose products this first brings
+    to the state's operator A (``CorrectionWindow.move_to``), and C solves
+    the Galerkin system (V^T A V) C = V^T rho, with rho = -r Lambda^{-1}
+    the residual of phi Lambda^{-1}, read from the state. So each column
+    of the start minimizes its A-norm error over
+    phi_j Lambda^{-1} + span(V), which mixes all columns of all
+    corrections in the window.
+
+    Consecutive corrections are nearly parallel and shrink by orders of
+    magnitude, so G = V^T A V is scaled to unit diagonal, RIDGE is added
+    and columns of zero A-norm are dropped. The solve then takes
+    C = (G + D)^{-1} V^T rho with D = RIDGE diag(G), which changes the
+    squared A-norm error of each column by
+    -b^T (G + D)^{-1} (G + 2D) (G + D)^{-1} b <= 0 (b its column of
+    V^T rho): never above that of phi Lambda^{-1}. Without a window the
+    start is phi Lambda^{-1}.
     """
     guess = state.multiplier_warm_start
-    if correction is None:
+    if window is None:
         return guess
-    e = correction.values
-    rho = -(state.r.values @ state.multiplier_inverse)
-    e_rho = np.vecdot(e.T, rho.T)  # one dot per column
-    e_ae = np.vecdot(e.T, (state.op.matrix @ e).T)
-    c = np.divide(e_rho, e_ae, out=np.zeros_like(e_rho), where=e_ae > 0.0)
-    start = e * c
-    start += guess.values
-    return Frame._wrap(start, guess.grid)
+    window.move_to(state.op)
+    v = window.corrections
+    gram = v.T @ window.products
+    # A column of zero A-norm has a zero row and column in G and in V^T rho,
+    # so any finite scale and the ridge give it a zero coefficient.
+    norms = gram.diagonal()
+    scale = np.where(norms > 0.0, norms, 1.0) ** -0.5
+    rows = scale[:, None]
+    gram *= scale  # columns first: no intermediate overflows
+    gram *= rows
+    gram.flat[::len(scale) + 1] += RIDGE
+    # -V^T rho = V^T r Lambda^{-1}, so the start subtracts V C.
+    rhs = (v.T @ state.r.values) @ state.multiplier_inverse
+    rhs *= rows
+    coeffs = np.linalg.solve(gram, rhs)
+    coeffs *= rows
+    start = v @ coeffs
+    return Frame._wrap(np.subtract(guess.values, start, out=start), guess.grid)
 
 
 def riemannian_gradient(
@@ -96,14 +192,21 @@ def riemannian_gradient(
     vanishes with the eigenvector residual r; for orthonormal phi,
     X G^{-1} - phi vanishes at that guess, so the direction is carried by
     the CG correction alone. Given the previous iterate's direction
-    ``previous``, the start adds that solve's correction, scaled per
-    column by a Galerkin factor (see ``recycled_start``): consecutive
-    corrections are close, so CG has less left to find.
+    ``previous``, the start adds the Galerkin projection onto the window
+    of the last ``WINDOW`` exact solves' corrections it carries (see
+    ``recycled_start``): consecutive corrections are close, so CG has less
+    left to find. The window is empty when ``previous`` is None or not an
+    exact gradient. The result carries it on with this solve's correction
+    X - phi Lambda^{-1} pushed in, at one sparse product.
     """
     if config.fixed_iters is not None:
         raise ValueError("the exact gradient requires a tolerance-mode solver config")
-    correction = previous.correction if previous is not None else None
-    return _gradient(state, config, EXACT_GRAD, recycled_start(state, correction))
+    window = previous.window if previous is not None else None
+    sd, x = _gradient(state, config, EXACT_GRAD, window)
+    if window is None:
+        window = CorrectionWindow(*x.values.shape)
+    window.push(x.values - state.multiplier_warm_start.values, state.op)
+    return replace(sd, window=window)
 
 
 def inexact_gradient(
@@ -113,12 +216,11 @@ def inexact_gradient(
 
     Built like the exact gradient, but with the solve of A Y = phi
     truncated after ``fixed_iters`` steps and started from phi Lambda^{-1}
-    alone: adding the recycled correction of the exact gradient to this
-    start made the truncated directions worse (README, "Numerical notes").
+    alone: adding recycled corrections of the exact gradient to this start
+    made the truncated directions worse (README, "Numerical notes").
     Not re-projected: the retraction absorbs the normal component.
     """
-    return _gradient(state, replace(config, fixed_iters=fixed_iters), INEXACT_GRAD,
-                     state.multiplier_warm_start)
+    return _gradient(state, replace(config, fixed_iters=fixed_iters), INEXACT_GRAD)[0]
 
 
 def dcm_direction(
@@ -150,8 +252,10 @@ def safeguarded_inexact_gradient(
 
     If the slope along the retraction ``<r, eta>`` (r the residual) is
     non-negative, the inner iteration count is doubled (up to
-    ``max_doublings`` times); as a last resort the exact gradient is used.
-    Effort of discarded attempts counts toward the returned direction.
+    ``max_doublings`` times); as a last resort the exact gradient is used,
+    started from phi Lambda^{-1}. It is returned without its window: the
+    next direction is inexact again and would not read it. Effort of
+    discarded attempts counts toward the returned direction.
     """
     effort = 0
     iters = fixed_iters
@@ -162,7 +266,7 @@ def safeguarded_inexact_gradient(
             return replace(sd, inner_effort=effort)
         iters *= 2
     sd = riemannian_gradient(state, config)
-    return replace(sd, inner_effort=effort + sd.inner_effort)
+    return replace(sd, inner_effort=effort + sd.inner_effort, window=None)
 
 
 def compute_direction(
@@ -175,7 +279,9 @@ def compute_direction(
     """The search direction of kind ``kind`` at the evaluated iterate ``state``.
 
     ``previous`` is the direction taken from the previous iterate; only the
-    exact gradient reads it, to recycle its solve's correction.
+    exact gradient reads it, to project its start onto the window of
+    corrections ``previous`` carries. Every other kind returns an empty
+    window, so an exact solve after it starts from phi Lambda^{-1}.
     """
     if kind == EXACT_GRAD:
         return riemannian_gradient(state, config, previous)

@@ -214,9 +214,12 @@ class DiscreteOperatorA:
         matrix.data = data
         return cls(model=model, matrix=matrix)
 
-    @property
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        """The diagonal of ``matrix``, read once, read-only."""
+        diagonal = self.matrix.diagonal()
+        diagonal.setflags(write=False)
+        return diagonal
 
     def apply(self, v: Frame) -> Frame:
         """H-representative of the shifted form applied to each orbital."""
@@ -335,9 +338,9 @@ class IterateState:
         Exact at a critical point, where A phi = phi Lambda, so its error
         tracks the outer iteration: its residual phi - A phi Lambda^{-1}
         is -r Lambda^{-1}, known without a product. Every truncated solve
-        at this iterate starts from it; the exact solve adds the recycled
-        correction of the previous iterate's solve to it (see
-        ``directions.riemannian_gradient``). The N x N inverse mixes phi in
-        one matrix product.
+        at this iterate starts from it; the exact solve adds to it the
+        Galerkin projection onto the corrections of the last exact solves
+        (see ``directions.recycled_start``), which reads this residual.
+        The N x N inverse mixes phi in one matrix product.
         """
         return Frame._wrap(self.phi.values @ self.multiplier_inverse, self.phi.grid)

@@ -257,6 +257,33 @@ class TestConfigValidation:
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, center",
+        [("harmonic", True), ("harmonic", "0.5"), ("harmonic", float("nan")),
+         ("harmonic", [float("inf")]), ("harmonic", [0.5, 0.5]), ("well", True),
+         ("well", [0.5, False]), ("well", {"x": 0.5})],
+        ids=["bool", "string", "nan", "inf-entry", "two-entries-1d", "well-bool",
+             "well-bool-entry", "mapping"],
+    )
+    def test_invalid_potential_center_rejected(self, tmp_path, capsys, kind, center):
+        config = base_config()
+        config["model"]["grid_points"] = 16
+        config["model"]["potential"] = (
+            {"kind": "harmonic", "omega": 8.0} if kind == "harmonic"
+            else {"kind": "well", "depth": -50.0, "width": 0.4})
+        config["model"]["potential"]["center"] = center
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert "'model.potential.center'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension, center", [(1, 0.5), (1, [1]), (2, [0.5, 0.5])])
+    def test_valid_potential_center_accepted(self, tmp_path, dimension, center):
+        config = base_config()
+        config["model"].update(dimension=dimension, grid_points=8 if dimension == 2 else 16)
+        config["model"]["potential"]["center"] = center
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_OK
+
 
 class TestOracleCommand:
     def test_analytic_spectrum_free_particle(self, tmp_path):

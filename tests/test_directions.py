@@ -1,5 +1,7 @@
 """Exact/inexact gradients, the DCM direction, and their structural identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,6 +21,7 @@ from stiefel_rgd import (
     norm_h,
     outer_product,
     random_frame,
+    rgd_fixed_step,
     rgd_line_search,
     riemannian_gradient,
     safeguarded_inexact_gradient,
@@ -29,6 +32,7 @@ from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD
 from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
 
 from conftest import (
+    FIXED_TAU,
     dense_a_solve,
     dense_lowest_eigenpairs,
     force_discards,
@@ -280,38 +284,54 @@ class TestMixesAgreeWithSolves:
             assert relative_gap(sd.direction.values, oracle) <= 1e-13
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+@pytest.fixture(scope="module", params=["1d", "1d_fixed", "2d"])
 def exact_solves(request):
-    """Every solve of the first 30 iterates of exact rgd_ls from start frame
-    1000, as (operator, right-hand side phi, start): the 1D n=128 N=3
-    reference problem, or 2D 32^2 with four orbitals."""
-    if request.param == 1:
-        model = make_model(n=128, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
-    else:
+    """Every solve of the first 30 iterates from start frame 1000, as
+    (operator, right-hand side phi, start), and every exact gradient as
+    (state, V, A V) with copies of its window right after it: exact rgd_ls
+    or rgd_fixed on the 1D n=128 N=3 reference problem, or exact rgd_ls on
+    2D 32^2 with four orbitals. Fixed steps make the most nearly dependent
+    windows."""
+    if request.param == "2d":
         model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
                            dimension=2)
-    solves = []
+    else:
+        model = make_model(n=128, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+    solves, gradients = [], []
+    exact = directions.riemannian_gradient
 
     def recording_solve(op, b, config, warm_start=None):
         solves.append((op, b, warm_start))
         return solve(op, b, config, warm_start=warm_start)
 
+    def recording_gradient(state, config, previous=None):
+        sd = exact(state, config, previous)
+        assert sd.window.diagonal is state.op.diagonal
+        gradients.append((state, sd.window.corrections.copy(), sd.window.products.copy()))
+        return sd
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(directions, "solve", recording_solve)
-        run = rgd_line_search(model, initial_frame(model.grid, model.n_orbitals, 1000),
-                              tol=1e-12, max_iter=30,
-                              solver_config=reference_solver_config())
-    assert len(solves) == len(run.history) == 31
-    return model, solves
+        patch.setattr(directions, "riemannian_gradient", recording_gradient)
+        phi0 = initial_frame(model.grid, model.n_orbitals, 1000)
+        if request.param == "1d_fixed":
+            run = rgd_fixed_step(model, phi0, FIXED_TAU, tol=1e-12, max_iter=30,
+                                 solver_config=reference_solver_config())
+        else:
+            run = rgd_line_search(model, phi0, tol=1e-12, max_iter=30,
+                                  solver_config=reference_solver_config())
+    assert len(solves) == len(gradients) == len(run.history) == 31
+    return model, solves, gradients
 
 
 class TestRecycledStart:
     """From the second iterate on, the exact solve starts from phi Lambda^{-1}
-    plus the previous solve's correction, scaled per column by a Galerkin
-    factor; truncated solves and DCM carry no correction."""
+    plus the Galerkin projection onto a window of the corrections of the
+    last eight exact solves; truncated solves, DCM and the safeguard's
+    exact fallback carry no window."""
 
     def test_error_never_above_multiplier_guess(self, exact_solves):
-        model, solves = exact_solves
+        model, solves, _ = exact_solves
         ratios = []
         for op, phi, start in solves[1:]:
             a = op.matrix
@@ -331,7 +351,7 @@ class TestRecycledStart:
         assert np.median(ratios) <= 0.5
 
     def test_exact_correction_is_solution_minus_guess(self, exact_solves, monkeypatch):
-        model, solves = exact_solves
+        model, solves, _ = exact_solves
         solutions = []
 
         def recording_solve(*args, **kwargs):
@@ -343,17 +363,98 @@ class TestRecycledStart:
         state = IterateState.at(model, solves[5][1])
         sd = riemannian_gradient(state, reference_solver_config())
         (x,) = solutions
+        # Without a previous direction, the window holds this correction alone.
         np.testing.assert_array_equal(
-            sd.correction.values, x.values - state.multiplier_warm_start.values)
+            sd.window.corrections, x.values - state.multiplier_warm_start.values)
 
     def test_truncated_directions_carry_no_correction(self, exact_solves):
-        model, solves = exact_solves
+        model, solves, _ = exact_solves
         state = IterateState.at(model, solves[5][1])
         config = reference_solver_config()
-        assert dcm_direction(state, 3, config).correction is None
-        assert inexact_gradient(state, 3, config).correction is None
+        assert dcm_direction(state, 3, config).window is None
+        assert inexact_gradient(state, 3, config).window is None
         sd = safeguarded_inexact_gradient(state, 3, config)
-        assert sd.kind == INEXACT_GRAD and sd.correction is None
+        assert sd.kind == INEXACT_GRAD and sd.window is None
+
+    def test_window_holds_last_eight_corrections(self, exact_solves):
+        # Solve k writes its correction over slot k mod 8 and leaves the
+        # other slots as they were.
+        model, _, gradients = exact_solves
+        n = model.n_orbitals
+        newest = []
+        for k, (_, v, _) in enumerate(gradients):
+            slot = slice(n * (k % 8), n * (k % 8 + 1))
+            newest.append(v[:, slot])
+            expected = [newest[max(j for j in range(k + 1) if j % 8 == s)]
+                        for s in range(min(k + 1, 8))]
+            np.testing.assert_array_equal(v, np.hstack(expected))
+
+    def test_updated_products_match_fresh_products(self, exact_solves):
+        # After 30 iterates every column of A V has been moved by seven
+        # diagonal updates but the newest, which has none.
+        _, _, gradients = exact_solves
+        state, v, products = gradients[-1]
+        fresh = state.op.matrix @ v
+        gap = np.linalg.norm(products - fresh, axis=0)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(fresh, axis=0))
+
+    def test_one_sparse_product_per_exact_solve_recycles(self, exact_solves):
+        """Outside its Krylov solve an exact gradient makes one sparse product
+        more than a truncated one, which makes a(eta, eta) alone: A E of its
+        new correction. Moving the window to a new operator takes none."""
+        model, _, gradients = exact_solves
+        config = reference_solver_config()
+
+        class CountedMatrix:
+            """Counts ``matrix @ block``. The Krylov solve reads the CSR
+            matrix itself through ``tocsr``, so its products are not counted."""
+
+            def __init__(self, matrix):
+                self.matrix, self.products = matrix, 0
+
+            def __matmul__(self, block):
+                self.products += 1
+                return self.matrix @ block
+
+            def __getattr__(self, name):
+                return getattr(self.matrix, name)
+
+        def counted(make_direction, state):
+            matrix = CountedMatrix(state.op.matrix)
+            sd = make_direction(replace(state, op=DiscreteOperatorA(model=model, matrix=matrix)))
+            assert sd.inner_effort > 0
+            return matrix.products, sd
+
+        previous = None
+        for state, _, _ in gradients[:12]:
+            exact, sd = counted(lambda s: riemannian_gradient(s, config, previous), state)
+            truncated, _ = counted(lambda s: inexact_gradient(s, 3, config), state)
+            assert (exact, truncated) == (2, 1)
+            previous = sd
+        assert previous.window.corrections.shape[1] == 8 * model.n_orbitals
+
+    def test_window_empty_after_other_directions(self, exact_solves, monkeypatch):
+        model, solves, _ = exact_solves
+        config = reference_solver_config()
+        starts = []
+
+        def recording_solve(op, b, config, warm_start=None):
+            starts.append(warm_start)
+            return solve(op, b, config, warm_start=warm_start)
+
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        state = IterateState.at(model, solves[6][1])
+        before = IterateState.at(model, solves[5][1])
+        for previous in (dcm_direction(before, 3, config), inexact_gradient(before, 3, config)):
+            assert previous.window is None
+            starts.clear()
+            riemannian_gradient(state, config, previous)
+            assert starts == [state.multiplier_warm_start]
+        # An exact gradient's window does reach the next start.
+        previous = riemannian_gradient(before, config)
+        starts.clear()
+        riemannian_gradient(state, config, previous)
+        assert starts[0] is not state.multiplier_warm_start
 
 
 class TestNormalComponentIdentities:
@@ -495,6 +596,8 @@ class TestSafeguard:
             IterateState.at(model, phi), 3, reference_solver_config(), max_doublings=2
         )
         assert sd.kind == EXACT_GRAD
+        # The next direction is inexact again, so the fallback keeps no window.
+        assert sd.window is None
         # Every attempt ran, each with twice the budget of the one before.
         assert [iters for iters, _ in attempts] == [3, 6, 12]
 
