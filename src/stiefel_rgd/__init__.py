@@ -63,6 +63,6 @@ from .models import (
     potential_zero,
     residual,
 )
-from .solvers import SolveConfig, SolveReport, apply_preconditioner, dense_inverse_applier, solve
+from .solvers import SolveConfig, SolveReport, apply_preconditioner, solve
 
 __version__ = "0.1.0"

@@ -38,9 +38,11 @@ from .models import (
     potential_zero,
     validate_coercivity,
 )
-from .solvers import DENSE_LIMIT, SolveConfig
+from .solvers import SolveConfig
 
 METHOD_NAMES = ("rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm")
+SOLVER_METHOD = "krylov_cg"  # the one value 'solver.method' accepts
+ORACLE_LIMIT = 8192  # largest n_dof the oracle's dense eigensolve accepts
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -174,9 +176,14 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
 
 def _build_solver(config: dict) -> SolveConfig:
     section = _section(config, "solver", required=False)
+    method = _field(section, "solver", "method", str, default=SOLVER_METHOD)
+    if method != SOLVER_METHOD:
+        raise ConfigError(
+            f"field 'solver.method' has unknown value {method!r}; "
+            f"the only solver is {SOLVER_METHOD!r}"
+        )
     try:
         return SolveConfig(
-            method=_field(section, "solver", "method", str, default="krylov_cg"),
             rel_tol=_field(section, "solver", "rel_tol", float, default=1e-8),
             max_iters=_field(section, "solver", "max_iters", int, default=500),
             fixed_iters=None,
@@ -312,6 +319,16 @@ def _summary_block(name: str, result: RunResult) -> str:
     )
 
 
+def _output_directory(output: dict, out_dir: Optional[str], base_dir: Path) -> Path:
+    """``--out-dir`` when given, else ``output.directory``; a relative path
+    is taken against the config's folder."""
+    directory = Path(
+        out_dir if out_dir is not None
+        else _field(output, "output", "directory", str, default="out")
+    )
+    return directory if directory.is_absolute() else base_dir / directory
+
+
 def run(
     config_path,
     out_dir: Optional[str] = None,
@@ -326,12 +343,7 @@ def run(
         solver_config = _build_solver(config)
         methods = _parse_methods(config)
         output = _section(config, "output", required=False)
-        directory = Path(
-            out_dir if out_dir is not None
-            else _field(output, "output", "directory", str, default="out")
-        )
-        if not directory.is_absolute():
-            directory = base_dir / directory
+        directory = _output_directory(output, out_dir, base_dir)
         write_csv = _field(output, "output", "csv", bool, default=True)
         write_summary = _field(output, "output", "summary", bool, default=True)
         validate_coercivity(model)
@@ -382,17 +394,12 @@ def oracle(config_path, out_dir: Optional[str] = None) -> int:
         base_dir = Path(config_path).resolve().parent
         model, _ = _build_model(config, base_dir)
         output = _section(config, "output", required=False)
-        directory = Path(
-            out_dir if out_dir is not None
-            else _field(output, "output", "directory", str, default="out")
-        )
-        if not directory.is_absolute():
-            directory = base_dir / directory
+        directory = _output_directory(output, out_dir, base_dir)
         if model.kappa != 0.0:
             raise ConfigError("oracle is defined only for kappa = 0")
-        if model.grid.n_dof > DENSE_LIMIT:
+        if model.grid.n_dof > ORACLE_LIMIT:
             raise ConfigError(
-                f"oracle needs n_dof <= {DENSE_LIMIT}, got {model.grid.n_dof}"
+                f"oracle needs n_dof <= {ORACLE_LIMIT}, got {model.grid.n_dof}"
             )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

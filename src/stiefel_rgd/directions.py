@@ -53,6 +53,10 @@ class CorrectionWindow:
         self._size = 0  # columns held, always the first ones
         self._next = 0  # first column of the next push
 
+    def __len__(self) -> int:
+        """The number of columns of V held, N per correction."""
+        return self._size
+
     @property
     def corrections(self) -> np.ndarray:
         """V, a read-only ``(n_dof, size)`` view."""
@@ -152,11 +156,11 @@ def recycled_start(state: IterateState, window: Optional[CorrectionWindow]) -> F
     C = (G + D)^{-1} V^T rho with D = RIDGE diag(G), which changes the
     squared A-norm error of each column by
     -b^T (G + D)^{-1} (G + 2D) (G + D)^{-1} b <= 0 (b its column of
-    V^T rho): never above that of phi Lambda^{-1}. Without a window the
-    start is phi Lambda^{-1}.
+    V^T rho): never above that of phi Lambda^{-1}. Without a window, or
+    with an empty one, the start is phi Lambda^{-1} itself.
     """
     guess = state.multiplier_warm_start
-    if window is None:
+    if window is None or len(window) == 0:
         return guess
     window.move_to(state.op)
     v = window.corrections
@@ -181,7 +185,7 @@ def recycled_start(state: IterateState, window: Optional[CorrectionWindow]) -> F
 def riemannian_gradient(
     state: IterateState,
     config: SolveConfig,
-    previous: Optional[SearchDirection] = None,
+    window: Optional[CorrectionWindow] = None,
 ) -> SearchDirection:
     """Negative Riemannian gradient in the energy-adaptive metric at ``state``.
 
@@ -191,20 +195,18 @@ def riemannian_gradient(
     multiplier warm start phi Lambda^{-1}, whose residual -r Lambda^{-1}
     vanishes with the eigenvector residual r; for orthonormal phi,
     X G^{-1} - phi vanishes at that guess, so the direction is carried by
-    the CG correction alone. Given the previous iterate's direction
-    ``previous``, the start adds the Galerkin projection onto the window
-    of the last ``WINDOW`` exact solves' corrections it carries (see
+    the CG correction alone. Given a ``window`` of earlier exact solves'
+    corrections, the start adds the Galerkin projection onto it (see
     ``recycled_start``): consecutive corrections are close, so CG has less
-    left to find. The window is empty when ``previous`` is None or not an
-    exact gradient. The result carries it on with this solve's correction
-    X - phi Lambda^{-1} pushed in, at one sparse product.
+    left to find. This solve's correction X - phi Lambda^{-1} is then
+    pushed into the window, at one sparse product, and the result carries
+    it. Without a window the result carries none.
     """
     if config.fixed_iters is not None:
         raise ValueError("the exact gradient requires a tolerance-mode solver config")
-    window = previous.window if previous is not None else None
     sd, x = _gradient(state, config, EXACT_GRAD, window)
     if window is None:
-        window = CorrectionWindow(*x.values.shape)
+        return sd
     window.push(x.values - state.multiplier_warm_start.values, state.op)
     return replace(sd, window=window)
 
@@ -253,9 +255,9 @@ def safeguarded_inexact_gradient(
     If the slope along the retraction ``<r, eta>`` (r the residual) is
     non-negative, the inner iteration count is doubled (up to
     ``max_doublings`` times); as a last resort the exact gradient is used,
-    started from phi Lambda^{-1}. It is returned without its window: the
-    next direction is inexact again and would not read it. Effort of
-    discarded attempts counts toward the returned direction.
+    started from phi Lambda^{-1} and without a window: the next direction
+    is inexact again and would not read one. Effort of discarded attempts
+    counts toward the returned direction.
     """
     effort = 0
     iters = fixed_iters
@@ -266,7 +268,7 @@ def safeguarded_inexact_gradient(
             return replace(sd, inner_effort=effort)
         iters *= 2
     sd = riemannian_gradient(state, config)
-    return replace(sd, inner_effort=effort + sd.inner_effort, window=None)
+    return replace(sd, inner_effort=effort + sd.inner_effort)
 
 
 def compute_direction(
@@ -280,11 +282,15 @@ def compute_direction(
 
     ``previous`` is the direction taken from the previous iterate; only the
     exact gradient reads it, to project its start onto the window of
-    corrections ``previous`` carries. Every other kind returns an empty
-    window, so an exact solve after it starts from phi Lambda^{-1}.
+    corrections ``previous`` carries and push its own correction into it.
+    Every other kind carries no window, so an exact gradient after it
+    starts a new, empty window and its solve starts from phi Lambda^{-1}.
     """
     if kind == EXACT_GRAD:
-        return riemannian_gradient(state, config, previous)
+        window = previous.window if previous is not None else None
+        if window is None:
+            window = CorrectionWindow(state.phi.grid.n_dof, state.phi.n_orbitals)
+        return riemannian_gradient(state, config, window)
     if kind == INEXACT_GRAD:
         return safeguarded_inexact_gradient(state, fixed_iters, config)
     if kind == DCM:

@@ -1,12 +1,11 @@
 """Columnwise SPD linear solves against the anchored elliptic operator.
 
-Two paths: preconditioned conjugate gradients (with optional fixed
-iteration count for inexact directions) and a dense Cholesky fallback for
-oracle-grade accuracy on small grids. The CG path runs all N columns as
-one blocked PCG: each step makes one sparse product and one
-preconditioner application on the block of columns still running, while
-every column keeps its own step lengths, iteration count and stopping
-test. It is not block CG: no search space is shared between columns.
+Preconditioned conjugate gradients, to a relative tolerance or, for
+inexact directions, for a fixed iteration count. All N columns run as one
+blocked PCG: each step makes one sparse product and one preconditioner
+application on the block of columns still running, while every column
+keeps its own step lengths, iteration count and stopping test. It is not
+block CG: no search space is shared between columns.
 
 The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``:
 a sparse LU of the tridiagonal operator in 1D, and in 2D, where that
@@ -25,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
@@ -33,9 +31,6 @@ from scipy.sparse import _sparsetools
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
 from .frames import Frame, GridSpec
 from .models import DiscreteOperatorA, laplacian
-
-KRYLOV_CG = "krylov_cg"
-DIRECT_DENSE = "direct_dense"
 
 PRECONDITIONER_NONE = "none"
 PRECONDITIONER_DIAGONAL = "diagonal"
@@ -46,21 +41,17 @@ PRECONDITIONER_KINDS = (
     PRECONDITIONER_KINETIC_SHIFT,
 )
 
-DENSE_LIMIT = 8192
 KINETIC_SHIFT_C0 = 1.0
 
 
 @dataclass
 class SolveConfig:
-    method: str = KRYLOV_CG
     rel_tol: float = 1e-8
     max_iters: int = 500
     fixed_iters: Optional[int] = None
     preconditioner: str = PRECONDITIONER_NONE
 
     def __post_init__(self):
-        if self.method not in (KRYLOV_CG, DIRECT_DENSE):
-            raise ValueError(f"unknown solve method {self.method!r}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
         if self.max_iters < 1:
@@ -74,8 +65,8 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     """Per column: the Krylov steps taken and the final relative residual
-    ``|b - A x| / |b|`` (0 for a zero column). Tolerance mode and the dense
-    path measure the true residual; fixed mode reports CG's recursive
+    ``|b - A x| / |b|`` (0 for a zero column). Tolerance mode measures the
+    true residual; fixed mode reports CG's recursive
     residual, which costs no extra sparse product and agrees with the true
     one to round-off over a few steps."""
 
@@ -305,22 +296,6 @@ def _pcg(
     return x, iterations, residuals
 
 
-def dense_inverse_applier(op: DiscreteOperatorA) -> Callable[[Frame], Frame]:
-    """Columnwise exact inverse via a dense Cholesky factored once."""
-    n_dof = op.model.grid.n_dof
-    if n_dof > DENSE_LIMIT:
-        raise ShapeError(f"dense path limited to {DENSE_LIMIT} unknowns, got {n_dof}")
-    try:
-        factor = sla.cho_factor(op.matrix.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise OperatorNotSPDError("operator matrix is not positive definite") from exc
-
-    def apply_inverse(b: Frame) -> Frame:
-        return Frame(sla.cho_solve(factor, b.values), b.grid)
-
-    return apply_inverse
-
-
 def solve(
     op: DiscreteOperatorA,
     b: Frame,
@@ -341,13 +316,6 @@ def solve(
         warm_start.grid != b.grid or warm_start.n_orbitals != b.n_orbitals
     ):
         raise ShapeError("warm start is incompatible with the right-hand side")
-
-    if config.method == DIRECT_DENSE:
-        x = dense_inverse_applier(op)(b)
-        b_norms = np.linalg.norm(b.values, axis=0)
-        res_norms = np.linalg.norm(b.values - op.matrix @ x.values, axis=0)
-        residuals = np.divide(res_norms, b_norms, out=np.zeros_like(b_norms), where=b_norms > 0)
-        return x, SolveReport([0] * b.n_orbitals, residuals.tolist())
 
     x, iterations, residuals = _pcg(
         op.matrix,

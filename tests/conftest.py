@@ -1,18 +1,21 @@
 """Shared fixtures: reference problems, cached runs, and independent oracles.
 
 The oracle helpers here deliberately avoid the library code paths they are
-used to check (stacked saddle-point solves, classical Gram-Schmidt, dense
-eigensolves, double-loop quadrature).
+used to check (dense Cholesky solves, stacked saddle-point solves, classical
+Gram-Schmidt, dense eigensolves, double-loop quadrature).
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from stiefel_rgd import (
     EnergyModel,
     Frame,
     GridSpec,
     SolveConfig,
+    SolveReport,
+    directions,
     initial_frame,
     potential_harmonic,
     rgd_fixed_step,
@@ -20,7 +23,6 @@ from stiefel_rgd import (
 )
 from stiefel_rgd.frames import DIRICHLET
 from stiefel_rgd.models import DiscreteOperatorA
-from stiefel_rgd.solvers import dense_inverse_applier
 
 # Frozen reference problems. The unit-box GPE with a centered harmonic trap
 # and strong repulsion, and its three-orbital density-coupled companion.
@@ -45,9 +47,53 @@ def reference_solver_config():
     return SolveConfig(rel_tol=1e-8, max_iters=500, preconditioner="kinetic_shift")
 
 
+def dense_inverse(op):
+    """Oracle: the exact columnwise inverse of ``op``, by one dense Cholesky
+    factorization."""
+    factor = sla.cho_factor(op.matrix.toarray())
+    return lambda b: Frame(sla.cho_solve(factor, b.values), b.grid)
+
+
+def dense_solve(op, b, config=None, warm_start=None):
+    """Oracle in the form of ``stiefel_rgd.solve``: the dense Cholesky solve
+    of A X = B, reported as 0 iterations and the true relative residual of
+    each column (0 for a zero column). The config and start are ignored."""
+    x = dense_inverse(op)(b)
+    b_norms = np.linalg.norm(b.values, axis=0)
+    res_norms = np.linalg.norm(b.values - op.matrix @ x.values, axis=0)
+    residuals = np.divide(res_norms, b_norms, out=np.zeros_like(b_norms), where=b_norms > 0)
+    return x, SolveReport([0] * b.n_orbitals, residuals.tolist())
+
+
+class DenseOracleConfig(SolveConfig):
+    """Marks solves for the dense oracle: a solve of the library's directions
+    given this config, or a copy ``dataclasses.replace`` made of it, goes to
+    ``dense_solve`` (see ``dense_oracle_solves``). The routing is a
+    function-scoped fixture, so module- and session-scoped fixtures must
+    not rely on it."""
+
+
+DIRECT = DenseOracleConfig()
+
+
+@pytest.fixture(autouse=True)
+def dense_oracle_solves(monkeypatch):
+    """Route the solves of ``stiefel_rgd.directions`` given a
+    ``DenseOracleConfig`` to the dense oracle, so exact gradients and whole
+    descents run with ``DIRECT`` take exact solves; every other solve goes
+    to the library."""
+    library_solve = directions.solve
+
+    def routed(op, b, config, warm_start=None):
+        chosen = dense_solve if isinstance(config, DenseOracleConfig) else library_solve
+        return chosen(op, b, config, warm_start=warm_start)
+
+    monkeypatch.setattr(directions, "solve", routed)
+
+
 def dense_a_solve(model, phi):
     """Exact columnwise inverse of the operator anchored at phi."""
-    return dense_inverse_applier(DiscreteOperatorA.at(model, phi))
+    return dense_inverse(DiscreteOperatorA.at(model, phi))
 
 
 def random_tangent(model, phi, rng, normalized=False):

@@ -184,6 +184,14 @@ class TestConfigValidation:
         path = write_config(tmp_path, base_config(methods=[{"name": "newton"}]))
         assert main(["solve", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["direct_dense", "gmres"])
+    def test_unknown_solver_method_rejected(self, tmp_path, capsys, value):
+        config = base_config()
+        config["solver"]["method"] = value
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert "'solver.method'" in capsys.readouterr().err
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("model: [unclosed", encoding="utf-8")
@@ -332,7 +340,7 @@ class TestOracleCommand:
     def test_solve_matches_oracle_file(self, tmp_path):
         config = base_config(
             methods=[{"name": "rgd_ls", "tol": 1e-9, "max_iter": 500}],
-            solver={"method": "direct_dense"},
+            solver={"method": "krylov_cg", "rel_tol": 1e-10, "preconditioner": "kinetic_shift"},
         )
         config["model"]["kappa"] = 0.0
         config["model"]["grid_points"] = 64

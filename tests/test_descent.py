@@ -6,7 +6,6 @@ import pytest
 from stiefel_rgd import (
     Frame,
     LineSearchParams,
-    SolveConfig,
     diagnostics_a2_a3,
     energy,
     initial_frame,
@@ -24,19 +23,18 @@ from stiefel_rgd.descent import (
     bb_trial_step,
 )
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
-from stiefel_rgd.solvers import dense_inverse_applier
 
 from conftest import (
+    DIRECT,
     FIXED_TAU,
     RUN_TOL,
+    dense_inverse,
     dense_lowest_eigenpairs,
     force_discards,
     make_model,
     poison_solve,
     reference_solver_config,
 )
-
-DIRECT = SolveConfig(method="direct_dense")
 
 # Energy decrements below double-precision evaluation noise cannot be
 # resolved; monotonicity assertions use this absolute slack.
@@ -63,7 +61,7 @@ class TestFixedStep:
             log_frames=True,
         )
         op = DiscreteOperatorA.at(model, phi0)
-        pulled = dense_inverse_applier(op)(phi0)
+        pulled = dense_inverse(op)(phi0)
         expected = (1.0 / norm_h(pulled)) * pulled
         gap = min(norm_h(run.frames[1] - expected), norm_h(run.frames[1] + expected))
         assert gap <= 1e-12

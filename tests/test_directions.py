@@ -28,10 +28,17 @@ from stiefel_rgd import (
     solve,
 )
 from stiefel_rgd import directions
-from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD
+from stiefel_rgd.directions import (
+    DCM,
+    EXACT_GRAD,
+    INEXACT_GRAD,
+    CorrectionWindow,
+    compute_direction,
+)
 from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
 
 from conftest import (
+    DIRECT,
     FIXED_TAU,
     dense_a_solve,
     dense_lowest_eigenpairs,
@@ -40,8 +47,6 @@ from conftest import (
     random_tangent,
     reference_solver_config,
 )
-
-DIRECT = SolveConfig(method="direct_dense")
 
 
 @pytest.fixture
@@ -194,9 +199,10 @@ class TestWarmStartedExactGradient:
         frames = late_iterates(run)
         config = reference_solver_config()
         calls = []
+        routed = directions.solve  # takes DIRECT to the dense oracle
 
         def recording_solve(*args, **kwargs):
-            x, report = solve(*args, **kwargs)
+            x, report = routed(*args, **kwargs)
             calls.append((report, kwargs.get("warm_start")))
             return x, report
 
@@ -304,8 +310,8 @@ def exact_solves(request):
         solves.append((op, b, warm_start))
         return solve(op, b, config, warm_start=warm_start)
 
-    def recording_gradient(state, config, previous=None):
-        sd = exact(state, config, previous)
+    def recording_gradient(state, config, window=None):
+        sd = exact(state, config, window)
         assert sd.window.diagonal is state.op.diagonal
         gradients.append((state, sd.window.corrections.copy(), sd.window.products.copy()))
         return sd
@@ -361,9 +367,10 @@ class TestRecycledStart:
 
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, solves[5][1])
-        sd = riemannian_gradient(state, reference_solver_config())
+        window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
+        sd = riemannian_gradient(state, reference_solver_config(), window)
         (x,) = solutions
-        # Without a previous direction, the window holds this correction alone.
+        # Given an empty window, the window holds this correction alone.
         np.testing.assert_array_equal(
             sd.window.corrections, x.values - state.multiplier_warm_start.values)
 
@@ -425,13 +432,12 @@ class TestRecycledStart:
             assert sd.inner_effort > 0
             return matrix.products, sd
 
-        previous = None
+        window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
         for state, _, _ in gradients[:12]:
-            exact, sd = counted(lambda s: riemannian_gradient(s, config, previous), state)
+            exact, _ = counted(lambda s: riemannian_gradient(s, config, window), state)
             truncated, _ = counted(lambda s: inexact_gradient(s, 3, config), state)
             assert (exact, truncated) == (2, 1)
-            previous = sd
-        assert previous.window.corrections.shape[1] == 8 * model.n_orbitals
+        assert window.corrections.shape[1] == 8 * model.n_orbitals
 
     def test_window_empty_after_other_directions(self, exact_solves, monkeypatch):
         model, solves, _ = exact_solves
@@ -448,12 +454,12 @@ class TestRecycledStart:
         for previous in (dcm_direction(before, 3, config), inexact_gradient(before, 3, config)):
             assert previous.window is None
             starts.clear()
-            riemannian_gradient(state, config, previous)
+            compute_direction(state, EXACT_GRAD, config, 3, previous)
             assert starts == [state.multiplier_warm_start]
         # An exact gradient's window does reach the next start.
-        previous = riemannian_gradient(before, config)
+        previous = compute_direction(before, EXACT_GRAD, config, 3)
         starts.clear()
-        riemannian_gradient(state, config, previous)
+        compute_direction(state, EXACT_GRAD, config, 3, previous)
         assert starts[0] is not state.multiplier_warm_start
 
 
@@ -600,6 +606,30 @@ class TestSafeguard:
         assert sd.window is None
         # Every attempt ran, each with twice the budget of the one before.
         assert [iters for iters, _ in attempts] == [3, 6, 12]
+
+    def test_fallback_builds_no_window(self, model, phi, monkeypatch):
+        # No direction reads the fallback's window, so none is allocated and
+        # no sparse product is spent on one; its solve starts from the guess.
+        force_discards(monkeypatch, lambda k: 3)
+        built, starts = [], []
+        routed = directions.solve
+
+        def counted_window(*args):
+            built.append(args)
+            return CorrectionWindow(*args)
+
+        def recording_solve(op, b, config, warm_start=None):
+            starts.append(warm_start)
+            return routed(op, b, config, warm_start=warm_start)
+
+        monkeypatch.setattr(directions, "CorrectionWindow", counted_window)
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        state = IterateState.at(model, phi)
+        sd = safeguarded_inexact_gradient(state, 3, reference_solver_config(), max_doublings=2)
+        assert sd.kind == EXACT_GRAD
+        assert sd.window is None
+        assert built == []
+        assert starts[-1] is state.multiplier_warm_start
 
     def test_accumulates_effort(self, model, phi):
         # Accepted after 0, 1 or 2 discards, or exact after all 3 attempts.

@@ -310,7 +310,9 @@ class TestInverseContract:
 
 class TestEigenvalueConsistency:
     def test_linear_case_matches_dense_eigensolve(self):
-        from stiefel_rgd import SolveConfig, initial_frame, rgd_line_search
+        from stiefel_rgd import initial_frame, rgd_line_search
+
+        from conftest import DIRECT
 
         model = make_model(n=64, length=1.0, omega=8.0, kappa=0.0, n_orbitals=3)
         result = rgd_line_search(
@@ -318,7 +320,7 @@ class TestEigenvalueConsistency:
             initial_frame(model.grid, 3, 5),
             tol=1e-9,
             max_iter=500,
-            solver_config=SolveConfig(method="direct_dense"),
+            solver_config=DIRECT,
         )
         assert result.converged
         lam_oracle, _ = dense_lowest_eigenpairs(model, 3)
