@@ -33,19 +33,27 @@ from .frames import Frame, GridSpec
 from .models import DiscreteOperatorA, laplacian
 
 PRECONDITIONER_NONE = "none"
-PRECONDITIONER_DIAGONAL = "diagonal"
 PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
-PRECONDITIONER_KINDS = (
-    PRECONDITIONER_NONE,
-    PRECONDITIONER_DIAGONAL,
-    PRECONDITIONER_KINETIC_SHIFT,
-)
+PRECONDITIONER_KINDS = (PRECONDITIONER_NONE, PRECONDITIONER_KINETIC_SHIFT)
 
 KINETIC_SHIFT_C0 = 1.0
 
 
 @dataclass
 class SolveConfig:
+    """How ``solve`` runs PCG on each column of A X = B.
+
+    Tolerance mode (``fixed_iters`` None) stops a column once its recursive
+    residual and then its true residual ``|b - A x|`` fall to ``rel_tol``
+    times ``|b|``; a column still above that after ``max_iters`` steps
+    makes ``solve`` raise ConvergenceError. Fixed mode (``fixed_iters`` set,
+    for the truncated solves of inexact directions) stops a column after
+    ``fixed_iters`` steps and ignores ``rel_tol`` and ``max_iters``. In
+    either mode a column also stops early once ``r . M r`` is exactly 0.
+    ``preconditioner`` is ``none`` or ``kinetic_shift``, the exact inverse
+    of ``laplacian + I`` (see the module docstring).
+    """
+
     rel_tol: float = 1e-8
     max_iters: int = 500
     fixed_iters: Optional[int] = None
@@ -116,9 +124,6 @@ def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndar
     """
     if kind == PRECONDITIONER_NONE:
         return lambda r: r
-    if kind == PRECONDITIONER_DIAGONAL:
-        diag = op.diagonal
-        return lambda r: (r.T / diag).T
     if kind == PRECONDITIONER_KINETIC_SHIFT:
         grid = op.model.grid
         if grid.dimension == 1:
@@ -196,45 +201,64 @@ def _pcg(
     reaching the budget, or in tolerance mode once its recursive residual
     and then its true residual fall below ``rel_tol`` times its norm.
     Returns the solutions and, per column, the iteration count and the
-    final relative residual: the true residual in tolerance mode, the
-    recursive one in fixed mode. A zero start takes ``r = b`` and fixed
-    mode makes no final product, so a fixed-``k`` solve makes ``k``
+    final relative residual, all written out by ``stop`` when the column
+    stops: the recursive residual in fixed mode, the true one in tolerance
+    mode, where the columns stopping short of the tolerance at one step
+    share one sparse product for it. A zero start takes ``r = b`` and
+    fixed mode makes no final product, so a fixed-``k`` solve makes ``k``
     sparse products from a zero start and ``k + 1`` from a warm start.
     """
     n_dof, n_cols = b.shape
     product = _block_product(matrix)
-    b_all = np.asfortranarray(b)
-    b_norms = np.sqrt(_column_dots(b_all, b_all)).tolist()
+    b = np.asfortranarray(b)
+    b_norms = np.sqrt(_column_dots(b, b)).tolist()
     x = np.zeros((n_dof, n_cols))
     iterations = [0] * n_cols
     residuals = [0.0] * n_cols
-    unmeasured = [j for j in range(n_cols) if b_norms[j] > 0.0]  # final residual unknown
-    if not unmeasured:
+    cols = [j for j in range(n_cols) if b_norms[j] > 0.0]  # original index of each running column
+    if not cols:
         return x, iterations, residuals
+    tols = [rel_tol * b_norms[j] for j in cols]
 
-    def retire(stopped, state):
-        """Write out the running columns at positions ``stopped``; return the
-        state of the others, or None when none is left."""
-        cols, tols, xs = state[:3]
-        for i in stopped:
+    def stop(positions, confirm=False):
+        """Write out the running columns at ``positions`` (iterate, iteration
+        count, final relative residual) and drop them from the running
+        block; return whether any column is left. The residual is the
+        recursive one in fixed mode; in tolerance mode it is the true one,
+        measured here in one sparse product. With ``confirm`` the true
+        residual replaces the recursive one, and only the columns it
+        confirms below the tolerance stop."""
+        nonlocal cols, tols, xs, r, p, rz
+        running = _columns(positions, len(cols))
+        if fixed_iters is not None:
+            norms = np.sqrt(_column_dots(r, r))[running].tolist()
+        else:
+            true_r = b[:, _columns([cols[i] for i in positions], n_cols)] - product(xs[:, running])
+            norms = np.sqrt(_column_dots(true_r, true_r)).tolist()
+            if confirm:
+                r[:, running] = true_r
+        final = {i: v for i, v in zip(positions, norms) if not confirm or v <= tols[i]}
+        if not final:
+            return True
+        for i, v in final.items():
             x[:, cols[i]] = xs[:, i]
             iterations[cols[i]] = k
-        keep = [i for i in range(len(cols)) if i not in stopped]
+            residuals[cols[i]] = v / b_norms[cols[i]]
+        keep = [i for i in range(len(cols)) if i not in final]
         if not keep:
-            return None
-        kept = tuple([values[i] for i in keep] for values in (cols, tols))
-        return kept + tuple(block[..., keep] for block in state[2:])
+            return False
+        cols, tols = [cols[i] for i in keep], [tols[i] for i in keep]
+        xs, r, p, rz = xs[:, keep], r[:, keep], p[:, keep], rz[keep]
+        return True
 
-    cols = list(unmeasured)  # original index of each running column
-    tols = [rel_tol * b_norms[j] for j in cols]
-    b = b_all[:, _columns(cols, n_cols)]
+    running = _columns(cols, n_cols)
     if x0 is None:
         # A zero start leaves r = b: skip the product with the zero block.
-        xs = np.zeros(b.shape, order="F")
-        r = np.array(b, order="F")
+        xs = np.zeros((n_dof, len(cols)), order="F")
+        r = np.array(b[:, running], order="F")
     else:
-        xs = np.array(x0[:, _columns(cols, n_cols)], order="F")
-        r = b - product(xs)
+        xs = np.array(x0[:, running], order="F")
+        r = b[:, running] - product(xs)
     z = apply_m(r)
     p = np.array(z, order="F")
     rz = _column_dots(r, z)
@@ -242,57 +266,33 @@ def _pcg(
     k = 0
 
     while True:
-        if k == budget or 0.0 in rz.tolist():
-            stopped = [i for i, v in enumerate(rz.tolist()) if k == budget or v == 0.0]
-            if fixed_iters is not None:
-                for i, v in zip(stopped, np.sqrt(_column_dots(r, r))[stopped].tolist()):
-                    residuals[cols[i]] = v / b_norms[cols[i]]
-                    unmeasured.remove(cols[i])
-            state = retire(stopped, (cols, tols, xs, b, r, p, rz))
-            if state is None:
-                break
-            cols, tols, xs, b, r, p, rz = state
+        if 0.0 in rz.tolist() and not stop([i for i, v in enumerate(rz.tolist()) if v == 0.0]):
+            break
         ap = product(p)
         pap = _column_dots(p, ap)
         if not all(v > 0.0 for v in pap.tolist()):
             raise OperatorNotSPDError("CG detected non-positive curvature")
         alpha = rz / pap
         xs += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
         k += 1
+        if k == budget:
+            stop(range(len(cols)))
+            break
         if fixed_iters is None:
             near = [
                 i for i, v in enumerate(_column_dots(r, r).tolist())
                 if math.sqrt(v) <= tols[i]
             ]
-            if near:
-                # Guard against recursion drift: accept only the true residual.
-                sel = _columns(near, len(cols))
-                true_r = b[:, sel] - product(xs[:, sel])
-                r[:, sel] = true_r
-                stopped = []
-                for i, v in zip(near, np.sqrt(_column_dots(true_r, true_r)).tolist()):
-                    if v <= tols[i]:
-                        stopped.append(i)
-                        residuals[cols[i]] = v / b_norms[cols[i]]
-                        unmeasured.remove(cols[i])
-                if stopped:
-                    state = retire(stopped, (cols, tols, xs, b, r, p, rz))
-                    if state is None:
-                        break
-                    cols, tols, xs, b, r, p, rz = state
-        if k < budget:
-            z = apply_m(r)
-            rz_next = _column_dots(r, z)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
-
-    if unmeasured:
-        sel = _columns(unmeasured, n_cols)
-        final_r = b_all[:, sel] - product(x[:, sel])
-        final_norms = np.sqrt(_column_dots(final_r, final_r)).tolist()
-        for j, v in zip(unmeasured, final_norms):
-            residuals[j] = v / b_norms[j]
+            # Guard against recursion drift: accept only the true residual.
+            if near and not stop(near, confirm=True):
+                break
+        z = apply_m(r)
+        rz_next = _column_dots(r, z)
+        p *= rz_next / rz
+        p += z
+        rz = rz_next
     return x, iterations, residuals
 
 
@@ -306,9 +306,10 @@ def solve(
 
     Tolerance mode stops each column at a relative residual below
     ``rel_tol`` (or raises ConvergenceError with the report of every
-    column); fixed mode runs exactly ``fixed_iters`` Krylov steps per
-    column and reports each column's recursive residual. A zero column of
-    B gets the zero solution in 0 iterations.
+    column) and reports each column's true residual; fixed mode runs at
+    most ``fixed_iters`` Krylov steps per column, fewer for a column whose
+    ``r . M r`` reaches 0 first, and reports each column's recursive
+    residual. A zero column of B gets the zero solution in 0 iterations.
     """
     if b.grid != op.model.grid:
         raise ShapeError("right-hand side lives on a different grid")

@@ -192,6 +192,13 @@ class TestConfigValidation:
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert "'solver.method'" in capsys.readouterr().err
 
+    def test_removed_diagonal_preconditioner_rejected(self, tmp_path, capsys):
+        config = base_config()
+        config["solver"]["preconditioner"] = "diagonal"
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert "unknown preconditioner 'diagonal'" in capsys.readouterr().err
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("model: [unclosed", encoding="utf-8")

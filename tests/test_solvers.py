@@ -147,11 +147,10 @@ class TestSolve:
         b = random_frame(model.grid, 2, rng)
         config = SolveConfig(rel_tol=1e-9, max_iters=2000)
         baseline, _ = solve(op, b, config)
-        for kind in ("diagonal", "kinetic_shift"):
-            x, _ = solve(
-                op, b, SolveConfig(rel_tol=1e-9, max_iters=2000, preconditioner=kind)
-            )
-            assert norm_h(x - baseline) <= 10 * config.rel_tol * norm_h(baseline)
+        x, _ = solve(
+            op, b, SolveConfig(rel_tol=1e-9, max_iters=2000, preconditioner="kinetic_shift")
+        )
+        assert norm_h(x - baseline) <= 10 * config.rel_tol * norm_h(baseline)
 
     def test_warm_start_honored(self, op, model, rng):
         b = random_frame(model.grid, 2, rng)
@@ -324,21 +323,87 @@ class TestBlockedColumns:
             assert report.final_relative_residuals[j] == pytest.approx(true_rel, rel=1e-10)
 
 
+@pytest.fixture
+def product_widths(monkeypatch):
+    """Column count of every sparse product the solver makes."""
+    widths = []
+    make_product = solvers._block_product
+
+    def counting(matrix):
+        product = make_product(matrix)
+
+        def counted(block):
+            widths.append(block.shape[1])
+            return product(block)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_block_product", counting)
+    return widths
+
+
+class TestStopPaths:
+    """Every way a column stops writes out its iterate, its iteration count
+    and its final residual."""
+
+    def warm_identity_case(self, model, rng):
+        # Column 0 starts at its solution, so its r . M r is 0 from the
+        # start; column 1 is solved by one step, after which its r is 0.
+        op = identity_operator(model)
+        b = random_frame(model.grid, 2, rng)
+        x0 = np.column_stack([b.values[:, 0], rng.standard_normal(model.grid.n_dof)])
+        return op, b, Frame(x0, model.grid)
+
+    def test_start_at_solution_tolerance_mode(self, model, rng, product_widths):
+        op, b, x0 = self.warm_identity_case(model, rng)
+        x, report = solve(op, b, SolveConfig(), warm_start=x0)
+        assert report.iterations_per_column == [0, 1]
+        assert report.final_relative_residuals[0] == 0.0
+        assert report.final_relative_residuals[1] <= 1e-8
+        assert np.array_equal(x.values[:, 0], b.values[:, 0])
+        # Start (both columns), one step, its true residual, and the true
+        # residual of column 0, which stopped before any step.
+        assert sorted(product_widths) == [1, 1, 1, 2]
+
+    def test_start_at_solution_fixed_mode(self, model, rng, product_widths):
+        op, b, x0 = self.warm_identity_case(model, rng)
+        _, report = solve(op, b, SolveConfig(fixed_iters=3), warm_start=x0)
+        assert report.iterations_per_column == [0, 1]
+        assert report.final_relative_residuals == [0.0, 0.0]
+        assert product_widths == [2, 1]
+
+    def test_budget_stop_measures_columns_in_one_product(self, op, model, rng,
+                                                         product_widths):
+        b = random_frame(model.grid, 2, rng)
+        with pytest.raises(ConvergenceError) as info:
+            solve(op, b, SolveConfig(rel_tol=1e-12, max_iters=3))
+        assert info.value.report.iterations_per_column == [3, 3]
+        assert product_widths == [2] * 4
+
+    def test_each_stop_reports_true_residual(self, op, model, rng):
+        # Column 0 is zero, column 1 starts at its solution and stops by
+        # tolerance, column 2 runs into the budget on its own.
+        nd = model.grid.n_dof
+        b = rng.standard_normal((nd, 3))
+        b[:, 0] = 0.0
+        x0 = np.zeros((nd, 3))
+        x0[:, 1] = dense_solve(op, Frame(b, model.grid))[0].values[:, 1]
+        apply_m = solvers._preconditioner_apply("none", op)
+        x, iterations, residuals = solvers._pcg(op.matrix, b, x0, apply_m, 1e-12, 3, None)
+        assert iterations[0] == 0 and residuals[0] == 0.0
+        assert np.array_equal(x[:, 0], np.zeros(nd))
+        assert iterations[1] < 3 and residuals[1] <= 1e-12
+        assert iterations[2] == 3
+        for j in (1, 2):
+            true_res = np.linalg.norm(b[:, j] - op.matrix @ x[:, j]) / np.linalg.norm(b[:, j])
+            assert residuals[j] == pytest.approx(true_res, rel=1e-6, abs=1e-15)
+        assert residuals[2] > 1e-6
+
+
 class TestPreconditioners:
     def test_none_is_identity(self, op, model, rng):
         r = random_frame(model.grid, 2, rng)
         assert apply_preconditioner("none", op, r) is r
-
-    def test_diagonal_inverts_diagonal_operator(self, model, rng):
-        op = identity_operator(model)
-        scaled = DiscreteOperatorA(
-            model=model,
-            matrix=(4.0 * sp.identity(model.grid.n_dof)).tocsr(),
-        )
-        r = random_frame(model.grid, 1, rng)
-        out = apply_preconditioner("diagonal", scaled, r)
-        assert np.allclose(out.values, r.values / 4.0)
-        assert norm_h(apply_preconditioner("diagonal", op, r) - r) == 0.0
 
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("n_cols", [1, 4])
@@ -387,7 +452,7 @@ class TestPreconditioners:
     def test_solution_frames_reconstruct_rhs(self, op, model, rng):
         b = random_frame(model.grid, 2, rng)
         x, _ = solve(
-            op, b, SolveConfig(rel_tol=1e-10, max_iters=2000, preconditioner="diagonal")
+            op, b, SolveConfig(rel_tol=1e-10, max_iters=2000, preconditioner="kinetic_shift")
         )
         recon = Frame(op.matrix @ x.values, model.grid)
         assert norm_h(recon - b) <= 1e-8 * norm_h(b)
