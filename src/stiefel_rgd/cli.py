@@ -242,12 +242,15 @@ def _parse_methods(config: dict) -> list:
 
 
 def load_config(config_path) -> dict:
+    """The config mapping, read by libyaml's safe loader when PyYAML was
+    built with it (it reads the same YAML about eight times faster) and by
+    the pure-Python one otherwise."""
     path = Path(config_path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = yaml.safe_load(handle)
+            config = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(config, dict):

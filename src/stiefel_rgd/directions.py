@@ -8,9 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFrameError
 from .frames import Frame, inner_h, outer_product
-from .models import DiscreteOperatorA, IterateState
+from .models import DiscreteOperatorA, IterateState, cholesky_solve, spd_inverse
 from .solvers import SolveConfig, solve
 
 EXACT_GRAD = "exact_grad"
@@ -19,36 +18,38 @@ DCM = "dcm"
 
 
 # The exact gradient's start is a Galerkin projection onto the corrections
-# of the last WINDOW exact solves, every column of each. RIDGE is added to
-# the unit diagonal of the Jacobi-scaled Galerkin matrix. It bounds how far
-# round-off in A V moves the start: with 1e-12, reordering the window's
-# columns or recomputing A V by fresh products moved fixed-step starts by
-# up to 3e-10 relative; with 1e-9, by 5e-12 to 7e-12 (README, "Numerical
-# notes").
+# of the last WINDOW exact solves, every column of each. The Galerkin
+# matrix G gets a ridge of RIDGE diag(G). It bounds how far round-off in G
+# moves the start: with 1e-12, reordering the window's columns or
+# recomputing A V by fresh products moved fixed-step starts by up to 3e-10
+# relative; with 1e-9, by 5e-12 to 7e-12 (README, "Numerical notes").
 WINDOW = 8
 RIDGE = 1e-9
 
 
 class CorrectionWindow:
     """The corrections E = X - phi Lambda^{-1} of the last ``WINDOW`` exact
-    gradient solves as the columns of V, all N columns of each, with A V
-    for the operator A whose diagonal is ``diagonal``.
+    gradient solves as the columns of V, all N columns of each, with the
+    Galerkin matrix G = V^T A V for the operator A whose diagonal is
+    ``diagonal``.
 
     A window is handed from one exact gradient to the next, which updates
-    it in place; it always holds valid corrections with their products.
-    Between iterates the anchored operator changes on its diagonal only
+    it in place; it always holds valid corrections with their G. Between
+    iterates the anchored operator changes on its diagonal only
     (potential + kappa rho + shift on a fixed stencil), so ``move_to``
-    brings A V to another iterate's operator without a sparse product:
-    A_n V = A_{n-1} V + diag(d_n - d_{n-1}) V. ``push`` writes a new
-    correction over the oldest one once the window is full, so the
-    columns are in ring order, not in age order. The storage is allocated
-    once and F-ordered, so every column is contiguous.
+    brings G to another iterate's operator without a sparse product:
+    G_n = G_{n-1} + V^T diag(d_n - d_{n-1}) V. ``push`` writes a new
+    correction over the oldest one once the window is full and fills its
+    rows and columns of G from V^T (A E), so an entry of G is moved at most
+    WINDOW - 1 times before it is written afresh, and the round-off it
+    gathers stays bounded. The columns are in ring order, not in age
+    order. V is allocated once and F-ordered, so every column is contiguous.
     """
 
     def __init__(self, n_dof: int, n_orbitals: int):
-        shape = (n_dof, WINDOW * n_orbitals)
-        self._corrections = np.zeros(shape, order="F")
-        self._products = np.zeros(shape, order="F")
+        width = WINDOW * n_orbitals
+        self._corrections = np.zeros((n_dof, width), order="F")
+        self._gram = np.zeros((width, width), order="F")
         self.diagonal: Optional[np.ndarray] = None
         self._size = 0  # columns held, always the first ones
         self._next = 0  # first column of the next push
@@ -63,14 +64,14 @@ class CorrectionWindow:
         return _read_only(self._corrections[:, :self._size])
 
     @property
-    def products(self) -> np.ndarray:
-        """A V, a read-only ``(n_dof, size)`` view."""
-        return _read_only(self._products[:, :self._size])
+    def gram(self) -> np.ndarray:
+        """G = V^T A V, a read-only ``(size, size)`` view."""
+        return _read_only(self._gram[:self._size, :self._size])
 
     def move_to(self, op: DiscreteOperatorA) -> None:
-        """Bring A V to ``op`` by the change of the diagonal alone."""
-        products = self._products[:, :self._size]
-        products += self._corrections[:, :self._size] * (op.diagonal - self.diagonal)[:, None]
+        """Bring G to ``op`` by the change of the diagonal alone."""
+        v = self.corrections
+        self._gram[:self._size, :self._size] += v.T @ (v * (op.diagonal - self.diagonal)[:, None])
         self.diagonal = op.diagonal
 
     def push(self, correction: np.ndarray, op: DiscreteOperatorA) -> None:
@@ -78,10 +79,12 @@ class CorrectionWindow:
         sparse product: A E of the new correction."""
         cols = slice(self._next, self._next + correction.shape[1])
         self._corrections[:, cols] = correction
-        self._products[:, cols] = op.matrix @ correction
-        self.diagonal = op.diagonal
         self._size = max(self._size, cols.stop)
         self._next = cols.stop % self._corrections.shape[1]
+        block = self.corrections.T @ (op.matrix @ correction)
+        self._gram[:self._size, cols] = block
+        self._gram[cols, :self._size] = block.T
+        self.diagonal = op.diagonal
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -94,8 +97,8 @@ class SearchDirection:
     """A direction at one iterate, with what the next iterate reuses.
 
     An exact gradient carries the ``window`` of corrections of the last
-    ``WINDOW`` exact solves, its own included, with their products at its
-    iterate's operator. The next exact gradient, given this direction as
+    ``WINDOW`` exact solves, its own included, with their Galerkin matrix at
+    its iterate's operator. The next exact gradient, given this direction as
     ``previous``, takes the window over and updates it in place. Truncated
     solves, DCM and the exact fallback of the inexact safeguard carry no
     window (None), so an exact solve after them starts from
@@ -115,22 +118,18 @@ def _gradient(
 ) -> tuple[SearchDirection, Frame]:
     """eta = X G^{-1} - phi and X, with X from a solve of A X = phi
     started at ``recycled_start(state, window)`` and G = [[phi, X]] the
-    Gram matrix of phi against X. The N x N inverse G^{-1} = L^{-T} L^{-1}
-    comes from the Cholesky factor G = L L^T and mixes X in one matrix
-    product. A singular G raises DegenerateFrameError, with a hint to raise
-    the budget when the solve was truncated (``config.fixed_iters``). The
-    direction carries no window."""
+    Gram matrix of phi against X. The N x N inverse G^{-1} comes from one
+    Cholesky factorization (``models.spd_inverse``) and mixes X in one
+    matrix product. A G that is not numerically positive definite raises
+    DegenerateFrameError, with a hint to raise the budget when the solve
+    was truncated (``config.fixed_iters``). The direction carries no
+    window."""
     x, report = solve(state.op, state.phi, config, warm_start=recycled_start(state, window))
-    g = outer_product(state.phi, x)
-    try:
-        lower = np.linalg.cholesky(0.5 * (g + g.T))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError(
-            "Gram matrix is numerically singular" if config.fixed_iters is None
-            else "inexact solve produced a degenerate Gram matrix; increase fixed_iters"
-        ) from exc
-    lower_inv = np.linalg.inv(lower)
-    eta = Frame._wrap(x.values @ (lower_inv.T @ lower_inv) - state.phi.values, x.grid)
+    gram_inverse = spd_inverse(
+        outer_product(state.phi, x),
+        "Gram matrix is numerically singular" if config.fixed_iters is None
+        else "inexact solve produced a degenerate Gram matrix; increase fixed_iters")
+    eta = Frame._wrap(x.values @ gram_inverse - state.phi.values, x.grid)
     return SearchDirection(
         direction=eta,
         gram_of_direction=state.op.bilinear(eta, eta),
@@ -142,42 +141,38 @@ def _gradient(
 def recycled_start(state: IterateState, window: Optional[CorrectionWindow]) -> Frame:
     """Start phi Lambda^{-1} + V C of the exact solve at ``state``.
 
-    V holds the corrections of ``window``, whose products this first brings
-    to the state's operator A (``CorrectionWindow.move_to``), and C solves
-    the Galerkin system (V^T A V) C = V^T rho, with rho = -r Lambda^{-1}
-    the residual of phi Lambda^{-1}, read from the state. So each column
-    of the start minimizes its A-norm error over
-    phi_j Lambda^{-1} + span(V), which mixes all columns of all
-    corrections in the window.
+    V holds the corrections of ``window``, whose Galerkin matrix
+    G = V^T A V this first brings to the state's operator A
+    (``CorrectionWindow.move_to``), and C solves the Galerkin system
+    G C = V^T rho, with rho = -r Lambda^{-1} the residual of
+    phi Lambda^{-1}, read from the state. So each column of the start
+    minimizes its A-norm error over phi_j Lambda^{-1} + span(V), which
+    mixes all columns of all corrections in the window.
 
     Consecutive corrections are nearly parallel and shrink by orders of
-    magnitude, so G = V^T A V is scaled to unit diagonal, RIDGE is added
-    and columns of zero A-norm are dropped. The solve then takes
-    C = (G + D)^{-1} V^T rho with D = RIDGE diag(G), which changes the
-    squared A-norm error of each column by
+    magnitude, so G is singular to working precision. The solve takes
+    C = (G + D)^{-1} V^T rho with D = RIDGE diag(G), by one Cholesky
+    factorization (``models.cholesky_solve``); a column of zero A-norm
+    gets a ridge of RIDGE and so a zero coefficient. This is the system of
+    G scaled to unit diagonal plus RIDGE I, and it changes the squared
+    A-norm error of each column by
     -b^T (G + D)^{-1} (G + 2D) (G + D)^{-1} b <= 0 (b its column of
-    V^T rho): never above that of phi Lambda^{-1}. Without a window, or
-    with an empty one, the start is phi Lambda^{-1} itself.
+    V^T rho): never above that of phi Lambda^{-1}. Without a
+    window, with an empty one, or when round-off leaves G + D not
+    numerically positive definite, the start is phi Lambda^{-1} itself.
     """
     guess = state.multiplier_warm_start
     if window is None or len(window) == 0:
         return guess
     window.move_to(state.op)
-    v = window.corrections
-    gram = v.T @ window.products
-    # A column of zero A-norm has a zero row and column in G and in V^T rho,
-    # so any finite scale and the ridge give it a zero coefficient.
+    v, gram = window.corrections, window.gram
     norms = gram.diagonal()
-    scale = np.where(norms > 0.0, norms, 1.0) ** -0.5
-    rows = scale[:, None]
-    gram *= scale  # columns first: no intermediate overflows
-    gram *= rows
-    gram.flat[::len(scale) + 1] += RIDGE
+    system = gram + np.diag(RIDGE * np.where(norms > 0.0, norms, 1.0))
     # -V^T rho = V^T r Lambda^{-1}, so the start subtracts V C.
     rhs = (v.T @ state.r.values) @ state.multiplier_inverse
-    rhs *= rows
-    coeffs = np.linalg.solve(gram, rhs)
-    coeffs *= rows
+    coeffs = cholesky_solve(system, rhs)
+    if coeffs is None:
+        return guess
     start = v @ coeffs
     return Frame._wrap(np.subtract(guess.values, start, out=start), guess.grid)
 

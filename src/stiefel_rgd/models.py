@@ -17,6 +17,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# After scipy.sparse: importing scipy.linalg first made every fresh
+# ``import stiefel_rgd`` about 50 ms slower.
+from scipy.linalg.lapack import dposv
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, ShapeError
 from .frames import (
@@ -190,6 +193,24 @@ def validate_coercivity(model: EnergyModel) -> None:
         )
 
 
+def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """``matrix^{-1} rhs`` for a small symmetric ``matrix``, read from its
+    upper triangle, by one Cholesky factorization (LAPACK ``dposv``); None
+    when ``matrix`` is not numerically positive definite."""
+    _, solution, info = dposv(matrix, rhs)
+    return solution if info == 0 else None
+
+
+def spd_inverse(matrix: np.ndarray, singular: str) -> np.ndarray:
+    """Inverse of the symmetric part of the small ``matrix`` by
+    ``cholesky_solve``. Raises DegenerateFrameError(``singular``) when that
+    part is not numerically positive definite."""
+    inverse = cholesky_solve(0.5 * (matrix + matrix.T), np.eye(len(matrix)))
+    if inverse is None:
+        raise DegenerateFrameError(singular)
+    return inverse
+
+
 @dataclass(eq=False)
 class DiscreteOperatorA:
     """The elliptic operator anchored at a frame, with the coercivity shift.
@@ -197,10 +218,19 @@ class DiscreteOperatorA:
     ``matrix`` acts columnwise as stencil + V_ext + gamma(rho) + shift and is
     the H-representative of the (shifted) bilinear form, with gamma(rho)
     taken at the anchor's density; instances are read-only after ``at``.
+    ``diagonal`` is the diagonal of ``matrix``, read-only: ``at`` hands over
+    the entries it has just filled, and it is read from ``matrix`` when not
+    given.
     """
 
     model: EnergyModel
     matrix: sp.csr_matrix
+    diagonal: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.diagonal is None:
+            self.diagonal = self.matrix.diagonal()
+        self.diagonal.setflags(write=False)
 
     @classmethod
     def at(cls, model: EnergyModel, phi: Frame) -> "DiscreteOperatorA":
@@ -212,14 +242,7 @@ class DiscreteOperatorA:
         # A shallow copy shares the read-only index arrays of the pattern.
         matrix = copy.copy(pattern.stencil)
         matrix.data = data
-        return cls(model=model, matrix=matrix)
-
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of ``matrix``, read once, read-only."""
-        diagonal = self.matrix.diagonal()
-        diagonal.setflags(write=False)
-        return diagonal
+        return cls(model=model, matrix=matrix, diagonal=data[pattern.diagonal_slots])
 
     def apply(self, v: Frame) -> Frame:
         """H-representative of the shifted form applied to each orbital."""
@@ -321,15 +344,15 @@ class IterateState:
 
     @cached_property
     def multiplier_inverse(self) -> np.ndarray:
-        """Lambda^{-1} of the symmetrized multiplier, computed on first use.
+        """Lambda^{-1} of the symmetrized multiplier, computed on first use
+        by one Cholesky factorization (``spd_inverse``).
 
-        Raises DegenerateFrameError when Lambda is singular, which for SPD A
-        means phi has dependent columns.
+        Lambda = [[phi, A phi]] is positive definite for SPD A and
+        independent columns of phi, so DegenerateFrameError is raised when
+        the factorization fails: Lambda is singular or, through round-off,
+        not positive definite, which means phi has (nearly) dependent columns.
         """
-        try:
-            return np.linalg.inv(0.5 * (self.lam + self.lam.T))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateFrameError("multiplier matrix is singular") from exc
+        return spd_inverse(self.lam, "multiplier matrix is singular")
 
     @cached_property
     def multiplier_warm_start(self) -> Frame:

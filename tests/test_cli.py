@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: configs, exit codes, CSV/summary artifacts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from stiefel_rgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from stiefel_rgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 
 from conftest import poison_solve
 
@@ -298,6 +300,24 @@ class TestConfigValidation:
         config["model"]["potential"]["center"] = center
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_OK
+
+
+class TestConfigValidationWithoutLibyaml(TestConfigValidation):
+    """The same checks when PyYAML was built without libyaml, so that
+    ``load_config`` falls back to the pure-Python safe loader."""
+
+    @pytest.fixture(autouse=True)
+    def pure_python_loader(self, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_load_alike_under_both_loaders(path, monkeypatch):
+    loaded = load_config(path)
+    assert loaded == yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config(path) == loaded
 
 
 class TestOracleCommand:

@@ -34,6 +34,7 @@ from stiefel_rgd.directions import (
     INEXACT_GRAD,
     CorrectionWindow,
     compute_direction,
+    recycled_start,
 )
 from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
 
@@ -294,7 +295,7 @@ class TestMixesAgreeWithSolves:
 def exact_solves(request):
     """Every solve of the first 30 iterates from start frame 1000, as
     (operator, right-hand side phi, start), and every exact gradient as
-    (state, V, A V) with copies of its window right after it: exact rgd_ls
+    (state, V, G) with copies of its window right after it: exact rgd_ls
     or rgd_fixed on the 1D n=128 N=3 reference problem, or exact rgd_ls on
     2D 32^2 with four orbitals. Fixed steps make the most nearly dependent
     windows."""
@@ -313,7 +314,7 @@ def exact_solves(request):
     def recording_gradient(state, config, window=None):
         sd = exact(state, config, window)
         assert sd.window.diagonal is state.op.diagonal
-        gradients.append((state, sd.window.corrections.copy(), sd.window.products.copy()))
+        gradients.append((state, sd.window.corrections.copy(), sd.window.gram.copy()))
         return sd
 
     with pytest.MonkeyPatch.context() as patch:
@@ -396,14 +397,25 @@ class TestRecycledStart:
                         for s in range(min(k + 1, 8))]
             np.testing.assert_array_equal(v, np.hstack(expected))
 
-    def test_updated_products_match_fresh_products(self, exact_solves):
-        # After 30 iterates every column of A V has been moved by seven
-        # diagonal updates but the newest, which has none.
+    def test_tracked_gram_matches_fresh_gram(self, exact_solves):
+        # After 30 iterates every entry of G has been moved by up to seven
+        # diagonal updates since its row or column was last written afresh.
         _, _, gradients = exact_solves
-        state, v, products = gradients[-1]
-        fresh = state.op.matrix @ v
-        gap = np.linalg.norm(products - fresh, axis=0)
-        assert np.all(gap <= 1e-12 * np.linalg.norm(fresh, axis=0))
+        for state, v, gram in gradients[-8:]:
+            fresh = v.T @ (state.op.matrix @ v)
+            norms = np.sqrt(np.diag(fresh))
+            assert np.all(np.abs(gram - fresh) <= 1e-12 * np.outer(norms, norms))
+
+    def test_indefinite_gram_falls_back_to_multiplier_guess(self, exact_solves):
+        # Round-off could leave G + RIDGE diag(G) not positive definite; the
+        # start is then phi Lambda^{-1}, never worse than it.
+        model, solves, _ = exact_solves
+        state = IterateState.at(model, solves[5][1])
+        window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
+        riemannian_gradient(IterateState.at(model, solves[4][1]), reference_solver_config(),
+                            window)
+        window._gram[:len(window), :len(window)] *= -1.0
+        assert recycled_start(state, window) is state.multiplier_warm_start
 
     def test_one_sparse_product_per_exact_solve_recycles(self, exact_solves):
         """Outside its Krylov solve an exact gradient makes one sparse product

@@ -23,9 +23,14 @@ from stiefel_rgd import (
     residual,
     zero_frame,
 )
-from stiefel_rgd.errors import OperatorNotSPDError
+from stiefel_rgd.errors import DegenerateFrameError, OperatorNotSPDError
 from stiefel_rgd.geometry import retract_qr_mgs
-from stiefel_rgd.models import laplacian, linear_part_matrix, validate_coercivity
+from stiefel_rgd.models import (
+    laplacian,
+    linear_part_matrix,
+    spd_inverse,
+    validate_coercivity,
+)
 
 from conftest import dense_lowest_eigenpairs, make_model
 
@@ -222,6 +227,20 @@ class TestOperator:
         assert np.array_equal(op.matrix.indices, assembled.indices)
         assert np.array_equal(op.matrix.data, assembled.data)
 
+    @pytest.mark.parametrize("dimension, boundary", [(1, "dirichlet_zero"),
+                                                     (2, "dirichlet_zero"), (1, "periodic"),
+                                                     (2, "periodic")])
+    def test_handed_over_diagonal_is_matrix_diagonal(self, dimension, boundary, rng):
+        grid = GridSpec(dimension, 9, 1.0, boundary)
+        model = EnergyModel(grid, potential_harmonic(grid, 7.0), kappa=13.0,
+                            shift=2.5, n_orbitals=2)
+        op = DiscreteOperatorA.at(model, random_frame(grid, 2, rng))
+        assert np.array_equal(op.diagonal, op.matrix.diagonal())
+        assert not op.diagonal.flags.writeable
+        # Built from a matrix alone, the operator reads its diagonal.
+        same = DiscreteOperatorA(model=model, matrix=op.matrix)
+        assert np.array_equal(same.diagonal, op.diagonal)
+
     def test_linear_part_cached_per_model(self):
         grid = GridSpec(1, 12, 1.0)
         trap = EnergyModel(grid, potential_harmonic(grid, 5.0))
@@ -344,3 +363,18 @@ class TestA0Form:
         dense = linear_part_matrix(model).toarray()
         expected = grid.weight * float(w.values[:, 0] @ dense @ v.values[:, 0])
         assert a0_form(model, v, w) == pytest.approx(expected, rel=1e-12)
+
+
+class TestSpdInverse:
+    def test_inverts_symmetric_part(self, rng):
+        m = rng.standard_normal((4, 4))
+        spd = m @ m.T + 4.0 * np.eye(4)
+        np.testing.assert_allclose(spd_inverse(spd + 1e-3 * (m - m.T), "singular"),
+                                   np.linalg.inv(spd), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.diag([1.0, -1.0, 2.0]),
+                                        np.array([[1.0, 1.0], [1.0, 1.0]])],
+                             ids=["zero", "indefinite", "singular"])
+    def test_raises_degenerate_frame_error(self, matrix):
+        with pytest.raises(DegenerateFrameError, match="the message"):
+            spd_inverse(matrix, "the message")
