@@ -3,6 +3,7 @@ manifold, for Gross-Pitaevskii and coupled multi-orbital ground states."""
 
 from .descent import (
     IterationRecord,
+    LineSearchFailure,
     LineSearchParams,
     RunResult,
     diagnostics_a2_a3,

@@ -9,6 +9,7 @@ The YAML grammar is documented in the README.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -182,28 +183,18 @@ def _build_solver(config: dict) -> SolveConfig:
             f"field 'solver.method' has unknown value {method!r}; "
             f"the only solver is {SOLVER_METHOD!r}"
         )
-    try:
-        return SolveConfig(
-            rel_tol=_field(section, "solver", "rel_tol", float, default=1e-8),
-            max_iters=_field(section, "solver", "max_iters", int, default=500),
-            fixed_iters=None,
-            preconditioner=_field(section, "solver", "preconditioner", str, default="none"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"section 'solver': {exc}") from exc
+    return _from_fields(SolveConfig, section, "solver", skip=("fixed_iters",))
 
 
-def _line_search_params(entry: dict, path: str) -> LineSearchParams:
+def _from_fields(cls, section: dict, path: str, skip=()):
+    """``cls`` built from ``section``: each dataclass field of ``cls`` not in
+    ``skip`` is read with its default's type and keeps its default when
+    absent, so each default is written once, on the dataclass."""
     try:
-        return LineSearchParams(
-            alpha=_field(entry, path, "alpha", float, default=0.95),
-            beta=_field(entry, path, "beta", float, default=1e-4),
-            delta=_field(entry, path, "delta", float, default=0.5),
-            gamma_min=_field(entry, path, "gamma_min", float, default=1e-4),
-            gamma_max=_field(entry, path, "gamma_max", float, default=1.0),
-            gamma0=_field(entry, path, "gamma0", float, default=1e-2),
-            max_backtracks=_field(entry, path, "max_backtracks", int, default=25),
-        )
+        return cls(**{
+            f.name: _field(section, path, f.name, type(f.default), default=f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip
+        })
     except ValueError as exc:
         raise ConfigError(f"section '{path}': {exc}") from exc
 
@@ -235,7 +226,7 @@ def _parse_methods(config: dict) -> list:
                 "tol": _field(entry, path, "tol", float, default=1e-6),
                 "max_iter": _field(entry, path, "max_iter", int, default=2000),
                 "retraction": retraction,
-                "params": _line_search_params(entry, path),
+                "params": _from_fields(LineSearchParams, entry, path),
             }
         )
     return methods

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +66,23 @@ class IterationRecord:
 
 
 @dataclass
+class LineSearchFailure:
+    """Why the line search rejected every trial step.
+
+    ``decrement`` is the last trial's E_trial - E_n, ``target`` its Armijo
+    target beta tau a_phi(eta, eta) and ``slack`` the non-monotone allowance
+    c_n - E_n: the last trial failed because decrement > slack - target (up
+    to rounding). ``backtracks`` counts the step reductions made, i.e.
+    ``max_backtracks``.
+    """
+
+    decrement: float
+    target: float
+    slack: float
+    backtracks: int
+
+
+@dataclass
 class RunResult:
     final_frame: Frame
     eigenvalues: np.ndarray
@@ -74,6 +91,7 @@ class RunResult:
     termination: str
     frames: Optional[List[Frame]] = None
     directions: Optional[List[Frame]] = None
+    line_search_failure: Optional[LineSearchFailure] = None
 
     @property
     def iterations(self) -> int:
@@ -116,10 +134,40 @@ def bb_trial_step(n: int, s: Frame, y: Frame, params: LineSearchParams) -> float
     return max(params.gamma_min, min(gamma, params.gamma_max))
 
 
+def line_search(
+    model: EnergyModel,
+    state: IterateState,
+    sd: SearchDirection,
+    gamma: float,
+    c: float,
+    params: Optional[LineSearchParams],
+    retraction: str,
+) -> Union[Tuple[IterateState, float, int], LineSearchFailure]:
+    """One step from ``state`` along ``sd.direction``, with trial step ``gamma``.
+
+    Backtracks tau = gamma delta^k, k = 0, ..., max_backtracks, until the
+    non-monotone Armijo condition
+    E(R(phi, tau eta)) <= c - beta tau a_phi(eta, eta)
+    holds against the reference energy ``c``. Returns the accepted iterate's
+    state, its step tau and the backtracks k; the accepted trial is evaluated
+    once and keeps the energy the test read. When every trial fails, returns
+    the LineSearchFailure of the last one. With ``params`` None (the
+    fixed-step driver) the one trial at ``gamma`` is taken without a test.
+    """
+    for k in range(1 if params is None else params.max_backtracks + 1):
+        tau = gamma if params is None else gamma * params.delta**k
+        candidate = retract(state.phi, tau * sd.direction, retraction)
+        e_trial = energy(model, candidate)
+        target = 0.0 if params is None else params.beta * tau * sd.gram_of_direction
+        if params is None or e_trial <= c - target:
+            return IterateState.at(model, candidate, e_trial), tau, k
+    return LineSearchFailure(e_trial - state.energy, target, c - state.energy, k)
+
+
 def _descend(
     model: EnergyModel,
     phi0: Frame,
-    params: LineSearchParams,
+    params: Optional[LineSearchParams],
     fixed_tau: Optional[float],
     direction_kind: str,
     retraction: str,
@@ -131,11 +179,14 @@ def _descend(
 ) -> RunResult:
     """The descent loop shared by both drivers.
 
-    With ``fixed_tau`` set, every step is taken at that size without an
-    acceptance test and the reference pair stays (c_n, q_n) = (E_n, 1).
-    Otherwise the trial step is the alternating BB step, backtracked until
-    the non-monotone Armijo condition holds. Each visited iterate is
-    evaluated once; an accepted trial carries its energy into its state.
+    Each pass evaluates the direction at the current iterate, stops on a
+    degenerate frame, on ``tol`` or at ``max_iter``, and otherwise hands the
+    trial step to ``line_search``: ``fixed_tau`` with ``params`` None, else
+    the alternating BB step (``gamma0`` at the first iterate). It appends one
+    IterationRecord per visited iterate, with the step and backtracks that
+    left it. With a fixed step the reference pair stays (c_n, q_n) =
+    (E_n, 1); otherwise it follows ``nonmonotone_update``. A failed line
+    search ends the run and its LineSearchFailure is kept on the result.
     """
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
@@ -146,76 +197,45 @@ def _descend(
     c, q = state.energy, 1.0
     t0 = time.perf_counter()
 
-    def finish(converged: bool, termination: str) -> RunResult:
-        return RunResult(
-            final_frame=state.phi,
-            eigenvalues=multiplier_eigenvalues(model, state.lam),
-            history=history,
-            converged=converged,
-            termination=termination,
-            frames=frames,
-            directions=directions,
-        )
-
     for n in range(max_iter + 1):
-        phi, e, res_norm = state.phi, state.energy, state.res_norm
         if frames is not None:
-            frames.append(phi)
+            frames.append(state.phi)
+        grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
         try:
             sd = compute_direction(state, direction_kind, config, fixed_iters, prev_eta)
         except NumericalError:
-            history.append(
-                IterationRecord(n, e, res_norm, float("inf"), 0.0, 0, 0, c, q,
-                                time.perf_counter() - t0)
-            )
-            return finish(False, TERMINATION_DEGENERATE)
-        grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
-        if directions is not None:
-            directions.append(sd.direction)
-
-        converged = res_norm <= tol
-        if converged or n == max_iter:
-            history.append(
-                IterationRecord(n, e, res_norm, grad_norm, 0.0, 0, sd.inner_effort,
-                                c, q, time.perf_counter() - t0)
-            )
-            return finish(converged, TERMINATION_RESIDUAL if converged
-                          else TERMINATION_MAX_ITER)
-
-        max_backtracks = 0 if fixed_tau is not None else params.max_backtracks
-        if fixed_tau is not None:
-            gamma = fixed_tau
-        elif n == 0:
-            gamma = max(params.gamma_min, min(params.gamma0, params.gamma_max))
+            termination = TERMINATION_DEGENERATE
         else:
-            s = phi - prev_phi
-            y = prev_eta.direction - sd.direction
-            gamma = bb_trial_step(n, s, y, params)
-
-        accepted = None
-        backtracks = 0
-        tau = gamma
-        for k in range(max_backtracks + 1):
-            tau = gamma * params.delta**k
-            candidate = retract(phi, tau * sd.direction, retraction)
-            e_trial = energy(model, candidate)
-            if (fixed_tau is not None
-                    or e_trial <= c - params.beta * tau * sd.gram_of_direction):
-                accepted = candidate
-                backtracks = k
-                break
+            grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
+            inner = sd.inner_effort
+            if directions is not None:
+                directions.append(sd.direction)
+            termination = (TERMINATION_RESIDUAL if state.res_norm <= tol
+                           else TERMINATION_MAX_ITER if n == max_iter else None)
+        if termination is None:
+            if params is None:
+                gamma = fixed_tau
+            elif n == 0:
+                gamma = max(params.gamma_min, min(params.gamma0, params.gamma_max))
+            else:
+                gamma = bb_trial_step(n, state.phi - prev_phi,
+                                      prev_eta.direction - sd.direction, params)
+            step = line_search(model, state, sd, gamma, c, params, retraction)
+            if isinstance(step, LineSearchFailure):
+                termination, failure, backtracks = TERMINATION_LINE_SEARCH, step, step.backtracks
+            else:
+                accepted, tau, backtracks = step
         history.append(
-            IterationRecord(n, e, res_norm, grad_norm,
-                            tau if accepted is not None else 0.0,
-                            backtracks if accepted is not None else max_backtracks,
-                            sd.inner_effort, c, q, time.perf_counter() - t0)
+            IterationRecord(n, state.energy, state.res_norm, grad_norm, tau, backtracks,
+                            inner, c, q, time.perf_counter() - t0)
         )
-        if accepted is None:
-            return finish(False, TERMINATION_LINE_SEARCH)
+        if termination is not None:
+            return RunResult(state.phi, multiplier_eigenvalues(model, state.lam), history,
+                             termination == TERMINATION_RESIDUAL, termination, frames,
+                             directions, failure)
 
-        prev_phi, prev_eta = phi, sd
-        state = IterateState.at(model, accepted, e_trial)
-        if fixed_tau is not None:
+        prev_phi, prev_eta, state = state.phi, sd, accepted
+        if params is None:
             c, q = state.energy, 1.0
         else:
             c, q = nonmonotone_update(c, q, params.alpha, state.energy)
@@ -233,11 +253,17 @@ def rgd_fixed_step(
     solver_config: Optional[SolveConfig] = None,
     log_frames: bool = False,
 ) -> RunResult:
-    """Riemannian gradient descent with a constant step size."""
+    """Riemannian gradient descent with a constant step size.
+
+    Every step is the one untested trial ``line_search`` makes at ``tau``
+    along the exact gradient, so the run ends on ``tol``, at ``max_iter`` or
+    on a degenerate frame, never by a line-search failure; its records carry
+    (c_n, q_n) = (E_n, 1) and 0 backtracks.
+    """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     config = solver_config if solver_config is not None else SolveConfig()
-    return _descend(model, phi0, LineSearchParams(), tau, EXACT_GRAD, retraction,
+    return _descend(model, phi0, None, tau, EXACT_GRAD, retraction,
                     tol, max_iter, config, 3, log_frames)
 
 
@@ -257,8 +283,11 @@ def rgd_line_search(
 
     Each accepted step satisfies
     E(R(phi, tau eta)) <= c_n - beta tau a_phi(eta, eta)
-    against the decaying weighted energy average c_n; the trial step is the
-    alternating BB formula from the latest iterate/direction differences.
+    against the decaying weighted energy average c_n (``line_search``); the
+    trial step is the alternating BB formula from the latest
+    iterate/direction differences. When no trial within ``max_backtracks``
+    passes, the run ends with termination ``line_search_failure`` and
+    ``RunResult.line_search_failure`` says by how much the last trial missed.
     """
     params = params if params is not None else LineSearchParams()
     config = solver_config if solver_config is not None else SolveConfig()

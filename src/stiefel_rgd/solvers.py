@@ -52,6 +52,14 @@ class SolveConfig:
     either mode a column also stops early once ``r . M r`` is exactly 0.
     ``preconditioner`` is ``none`` or ``kinetic_shift``, the exact inverse
     of ``laplacian + I`` (see the module docstring).
+
+    Tolerance mode tests a column only after a step, so a column whose start
+    already meets ``rel_tol`` (without being exact) still takes one step.
+    The exact gradient relies on that step: its recycled starts meet
+    ``rel_tol`` on most columns, and stopping those at 0 steps took the 1D
+    N=3 ``rgd_fixed`` run from frame 1000 from 481 to 2277 iterations and
+    ended the 32x32 N=4 exact ``rgd_ls`` run in ``line_search_failure``
+    (README, "Numerical notes").
     """
 
     rel_tol: float = 1e-8
@@ -199,7 +207,10 @@ def _pcg(
     per step on the block of columns still running. A column stops on a
     zero right-hand side (0 iterations, zero solution), on ``rz == 0``, on
     reaching the budget, or in tolerance mode once its recursive residual
-    and then its true residual fall below ``rel_tol`` times its norm.
+    and then its true residual fall below ``rel_tol`` times its norm. The
+    tolerance is tested after each step, never at the start, so a nonzero
+    column takes at least one step unless its start is exact (``rz == 0``);
+    SolveConfig says why.
     Returns the solutions and, per column, the iteration count and the
     final relative residual, all written out by ``stop`` when the column
     stops: the recursive residual in fixed mode, the true one in tolerance

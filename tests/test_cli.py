@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 import yaml
 
-from stiefel_rgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from stiefel_rgd import LineSearchParams, SolveConfig
+from stiefel_rgd.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _build_solver,
+    _parse_methods,
+    load_config,
+    main,
+)
 
 from conftest import poison_solve
 
@@ -318,6 +327,23 @@ def test_shipped_configs_load_alike_under_both_loaders(path, monkeypatch):
     assert loaded == yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     assert load_config(path) == loaded
+
+
+class TestConfigDefaults:
+    """The CLI's defaults are the dataclasses' own."""
+
+    def test_empty_method_entry_parses_to_default_line_search(self):
+        methods = _parse_methods({"methods": [{"name": "rgd_ls"}]})
+        assert methods[0]["params"] == LineSearchParams()
+
+    def test_method_entry_overrides_only_its_fields(self):
+        entry = {"name": "dcm", "beta": 0.25, "max_backtracks": 3}
+        methods = _parse_methods({"methods": [entry]})
+        assert methods[0]["params"] == LineSearchParams(beta=0.25, max_backtracks=3)
+
+    @pytest.mark.parametrize("section", [{}, None], ids=["empty", "absent"])
+    def test_empty_solver_section_parses_to_default_config(self, section):
+        assert _build_solver({"solver": section}) == SolveConfig()
 
 
 class TestOracleCommand:

@@ -20,8 +20,12 @@ from stiefel_rgd.descent import (
     TERMINATION_LINE_SEARCH,
     TERMINATION_MAX_ITER,
     TERMINATION_RESIDUAL,
+    LineSearchFailure,
     bb_trial_step,
+    line_search,
 )
+from stiefel_rgd.directions import compute_direction
+from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
 
 from conftest import (
@@ -86,6 +90,7 @@ class TestFixedStep:
         assert not run.converged
         assert run.termination == TERMINATION_MAX_ITER
         assert len(run.history) == 4
+        assert run.line_search_failure is None
 
     def test_degenerate_start_reported(self):
         model = make_model(n=32, length=1.0, omega=5.0, kappa=0.0, n_orbitals=2)
@@ -94,6 +99,7 @@ class TestFixedStep:
         run = rgd_fixed_step(model, collapsed, 0.1, solver_config=DIRECT)
         assert not run.converged
         assert run.termination == TERMINATION_DEGENERATE
+        assert run.line_search_failure is None
 
 
 def collapsed_start(model):
@@ -156,6 +162,59 @@ class TestNonMonotoneBookkeeping:
         assert bb_trial_step(2, s, zero, params) == params.gamma_max
 
 
+class TestLineSearchStep:
+    """``line_search`` on its own: one step from an evaluated iterate."""
+
+    def setup_step(self):
+        model = make_model(n=48, length=1.0, omega=8.0, kappa=10.0, n_orbitals=2)
+        phi = initial_frame(model.grid, 2, 4)
+        state = IterateState.at(model, phi, energy(model, phi))
+        sd = compute_direction(state, "exact_grad", reference_solver_config(), 3)
+        return model, state, sd
+
+    def test_untested_trial_takes_gamma_with_one_evaluation(self, monkeypatch):
+        import stiefel_rgd.descent as descent
+
+        model, state, sd = self.setup_step()
+        calls = []
+        monkeypatch.setattr(descent, "energy",
+                            lambda *args: calls.append(args) or energy(*args))
+        # A reference energy no trial could meet: without a test it is not read.
+        accepted, tau, backtracks = line_search(
+            model, state, sd, 0.3, state.energy - 1e6, None, POLAR)
+        assert len(calls) == 1
+        assert tau == 0.3 and backtracks == 0
+        trial = retract(state.phi, 0.3 * sd.direction, POLAR)
+        assert np.array_equal(accepted.phi.values, trial.values)
+        assert accepted.energy == energy(model, trial)
+
+    def test_accepts_first_trial_meeting_armijo(self):
+        model, state, sd = self.setup_step()
+        params = LineSearchParams(beta=0.5)
+        gamma = 4.0  # too long for this beta, so the search backtracks
+        accepted, tau, backtracks = line_search(
+            model, state, sd, gamma, state.energy, params, POLAR)
+        assert backtracks > 0 and tau == gamma * params.delta**backtracks
+        assert accepted.energy == energy(model, accepted.phi)
+        assert accepted.energy <= state.energy - params.beta * tau * sd.gram_of_direction
+        longer = gamma * params.delta**(backtracks - 1)
+        rejected = energy(model, retract(state.phi, longer * sd.direction, POLAR))
+        assert rejected > state.energy - params.beta * longer * sd.gram_of_direction
+
+    def test_failure_reports_last_trial(self):
+        model, state, sd = self.setup_step()
+        params = LineSearchParams(max_backtracks=3)
+        c = state.energy - 1e6  # a reference energy no trial can meet
+        failure = line_search(model, state, sd, 0.5, c, params, POLAR)
+        assert isinstance(failure, LineSearchFailure)
+        tau = 0.5 * params.delta**3
+        assert failure.backtracks == 3
+        assert failure.target == params.beta * tau * sd.gram_of_direction
+        assert failure.slack == c - state.energy
+        trial = retract(state.phi, tau * sd.direction, POLAR)
+        assert failure.decrement == energy(model, trial) - state.energy
+
+
 class TestLineSearchRuns:
     def test_faster_than_fixed_step(self, gpe_runs):
         assert gpe_runs["rgd_ls"].iterations < gpe_runs["rgd_fixed"].iterations
@@ -192,7 +251,16 @@ class TestLineSearchRuns:
         assert base.converged and alt.converged
         assert abs(base.final_energy - alt.final_energy) <= 1e-8
 
-    def test_line_search_failure_termination(self):
+    def test_line_search_failure_termination(self, monkeypatch):
+        import stiefel_rgd.descent as descent
+
+        trials = []  # (state, direction, trial step) of every line search
+
+        def recording(model, state, sd, gamma, c, params, retraction):
+            trials.append((state, sd, gamma))
+            return line_search(model, state, sd, gamma, c, params, retraction)
+
+        monkeypatch.setattr(descent, "line_search", recording)
         model = make_model(n=64, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
         params = LineSearchParams(
             beta=0.999, gamma_min=0.9999, gamma_max=1.0, gamma0=1.0, max_backtracks=0
@@ -203,6 +271,16 @@ class TestLineSearchRuns:
         )
         assert not run.converged
         assert run.termination == TERMINATION_LINE_SEARCH
+        failure, last = run.line_search_failure, run.history[-1]
+        assert isinstance(failure, LineSearchFailure)
+        assert failure.backtracks == params.max_backtracks == last.backtracks
+        state, sd, gamma = trials[-1]
+        assert len(trials) == run.iterations + 1
+        assert failure.target == params.beta * gamma * sd.gram_of_direction
+        assert failure.decrement > -failure.target
+        assert failure.slack == last.c_n - last.energy
+        trial = retract(state.phi, gamma * sd.direction, POLAR)
+        assert failure.decrement == energy(model, trial) - last.energy
 
     @pytest.mark.parametrize(
         "kind, config",
@@ -217,12 +295,14 @@ class TestLineSearchRuns:
                               solver_config=config)
         assert not run.converged
         assert run.termination == TERMINATION_DEGENERATE
+        assert run.line_search_failure is None
 
     def test_converged_invariant(self, gpe_runs, coupled_runs):
         for runs in (gpe_runs, coupled_runs):
             for run in runs.values():
                 assert run.termination == TERMINATION_RESIDUAL
                 assert run.history[-1].residual_h_norm <= RUN_TOL
+                assert run.line_search_failure is None
 
 
 class TestDiagnostics:

@@ -365,6 +365,23 @@ class TestStopPaths:
         # residual of column 0, which stopped before any step.
         assert sorted(product_widths) == [1, 1, 1, 2]
 
+    @pytest.mark.parametrize("kind", solvers.PRECONDITIONER_KINDS)
+    def test_converged_start_still_takes_one_step(self, op, model, rng, kind):
+        # Tolerance mode tests a column only after a step, so a start that
+        # already meets rel_tol (but is not exact) takes one step; the
+        # exact gradient relies on it (see SolveConfig).
+        b = mixed_block(model.grid, rng)
+        config = SolveConfig(rel_tol=1e-8, max_iters=2000, preconditioner=kind)
+        x, _ = solve(op, b, config)
+        start = np.linalg.norm(b.values - op.matrix @ x.values, axis=0)
+        b_norms = np.linalg.norm(b.values, axis=0)
+        nonzero = [j for j in range(4) if b_norms[j] > 0.0]
+        assert nonzero == [0, 2, 3]
+        assert all(0.0 < start[j] <= config.rel_tol * b_norms[j] for j in nonzero)
+        _, report = solve(op, b, config, warm_start=x)
+        assert report.iterations_per_column[1] == 0
+        assert all(report.iterations_per_column[j] >= 1 for j in nonzero)
+
     def test_start_at_solution_fixed_mode(self, model, rng, product_widths):
         op, b, x0 = self.warm_identity_case(model, rng)
         _, report = solve(op, b, SolveConfig(fixed_iters=3), warm_start=x0)
