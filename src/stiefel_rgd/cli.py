@@ -55,22 +55,62 @@ CSV_HEADER = (
 )
 
 
-def _section(config: dict, name: str, required: bool = True) -> dict:
-    value = config.get(name)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing config section '{name}'")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    return value
+# One table per config section, read by ``_read``: each key maps to its
+# default, or to its type when the key is required.
+SECTIONS = {"model": None, "methods": None, "solver": None, "output": None}
+MODEL = {
+    "type": "coupled", "dimension": 1, "grid_points": int, "domain_length": 1.0,
+    "boundary": DIRICHLET, "potential": None, "kappa": 0.0, "sigma": 0.0,
+    "n_orbitals": 1, "seed": 0,
+}
+POTENTIALS = {  # the keys of 'model.potential' besides 'kind', per kind
+    "zero": {},
+    "harmonic": {"omega": float, "center": None},
+    "well": {"depth": float, "width": float, "center": None},
+    "file": {"path": str},
+}
+METHOD = {
+    "name": str, "retraction": POLAR, "tau": 0.1, "fixed_iters": 3, "tol": 1e-6,
+    "max_iter": 2000,
+    **{f.name: f.default for f in dataclasses.fields(LineSearchParams)},
+}
+SOLVER = {  # 'fixed_iters' is set by each method, not by the solver section
+    "method": SOLVER_METHOD,
+    **{f.name: f.default for f in dataclasses.fields(SolveConfig) if f.name != "fixed_iters"},
+}
+OUTPUT = {"directory": "out", "csv": True, "summary": True}
 
 
-def _field(section: dict, path: str, key: str, kind, default=None, required: bool = False):
+def _read(section, path: str, fields: dict) -> dict:
+    """The values of ``section``, the mapping at ``path`` ('' for the root),
+    read by the table ``fields``: every key of the table, each with its
+    default when absent. A key not in the table is a config error. An
+    absent or empty top-level section reads as an empty mapping; the error
+    for one that is not a mapping calls ``path`` a section, a method entry
+    or a field by its form."""
+    noun = "entry" if path.endswith("]") else "field" if "." in path else "section"
+    if section is None and noun == "section":
+        section = {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{noun} '{path}' must be a mapping")
+    for key in section:
+        if key not in fields:
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown key '{name}'")
+    return {key: _value(section, path, key, default) for key, default in fields.items()}
+
+
+def _value(section: dict, path: str, key: str, default):
+    """``section[key]`` coerced to the type of ``default``, or ``default``
+    when the key is absent. A type as ``default`` makes the key required
+    and is the type itself; a None default passes the value on as it is,
+    for the caller to check."""
+    required = isinstance(default, type)
     if key not in section:
         if required:
             raise ConfigError(f"missing field '{path}.{key}'")
         return default
+    kind = default if required else type(default)
     value = section[key]
     try:
         if kind in (int, float) and isinstance(value, bool):
@@ -85,17 +125,20 @@ def _field(section: dict, path: str, key: str, kind, default=None, required: boo
             if coerced != float(value):
                 raise ValueError
             return coerced
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
+        if kind in (bool, str) and not isinstance(value, kind):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
         raise ConfigError(f"field '{path}.{key}' has invalid value {value!r}") from None
     return value
+
+
+def _build(cls, values: dict, path: str):
+    """``cls`` from the entries of ``values`` that name its dataclass fields,
+    so each default is written once, on the dataclass."""
+    try:
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+    except ValueError as exc:
+        raise ConfigError(f"section '{path}': {exc}") from exc
 
 
 def _center(spec: dict, dimension: int) -> Optional[list]:
@@ -121,48 +164,39 @@ def _build_potential(grid: GridSpec, spec, base_dir: Path) -> np.ndarray:
         return potential_zero(grid)
     if not isinstance(spec, dict):
         raise ConfigError("field 'model.potential' must be a mapping")
-    kind = _field(spec, "model.potential", "kind", str, required=True)
+    kind = _value(spec, "model.potential", "kind", str)
+    if kind not in POTENTIALS:
+        raise ConfigError(f"field 'model.potential.kind' has unknown value {kind!r}")
+    values = _read(spec, "model.potential", {"kind": str, **POTENTIALS[kind]})
     if kind == "zero":
         return potential_zero(grid)
     if kind == "harmonic":
-        omega = _field(spec, "model.potential", "omega", float, required=True)
-        return potential_harmonic(grid, omega, _center(spec, grid.dimension))
+        return potential_harmonic(grid, values["omega"], _center(values, grid.dimension))
     if kind == "well":
-        depth = _field(spec, "model.potential", "depth", float, required=True)
-        width = _field(spec, "model.potential", "width", float, required=True)
-        return potential_well(grid, depth, width, _center(spec, grid.dimension))
-    if kind == "file":
-        path = _field(spec, "model.potential", "path", str, required=True)
-        resolved = Path(path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
-        if not resolved.exists():
-            raise ConfigError(f"field 'model.potential.path': no such file {resolved}")
-        return potential_from_file(grid, resolved)
-    raise ConfigError(f"field 'model.potential.kind' has unknown value {kind!r}")
+        return potential_well(grid, values["depth"], values["width"],
+                              _center(values, grid.dimension))
+    resolved = base_dir / values["path"]  # an absolute path replaces base_dir
+    if not resolved.exists():
+        raise ConfigError(f"field 'model.potential.path': no such file {resolved}")
+    return potential_from_file(grid, resolved)
 
 
 def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
-    section = _section(config, "model")
-    model_type = _field(section, "model", "type", str, default="coupled")
-    if model_type not in ("gpe", "coupled"):
-        raise ConfigError(f"field 'model.type' has unknown value {model_type!r}")
-    dimension = _field(section, "model", "dimension", int, default=1)
-    n = _field(section, "model", "grid_points", int, required=True)
-    length = _field(section, "model", "domain_length", float, default=1.0)
-    boundary = _field(section, "model", "boundary", str, default=DIRICHLET)
-    if boundary not in (DIRICHLET, PERIODIC):
-        raise ConfigError(f"field 'model.boundary' has unknown value {boundary!r}")
-    kappa = _field(section, "model", "kappa", float, default=0.0)
-    sigma = _field(section, "model", "sigma", float, default=0.0)
-    n_orbitals = _field(section, "model", "n_orbitals", int, default=1)
-    seed = _field(section, "model", "seed", int, default=0)
-    if model_type == "gpe" and n_orbitals != 1:
+    if config.get("model") is None:
+        raise ConfigError("missing config section 'model'")
+    values = _read(config["model"], "model", MODEL)
+    if values["type"] not in ("gpe", "coupled"):
+        raise ConfigError(f"field 'model.type' has unknown value {values['type']!r}")
+    if values["boundary"] not in (DIRICHLET, PERIODIC):
+        raise ConfigError(f"field 'model.boundary' has unknown value {values['boundary']!r}")
+    n_orbitals = values["n_orbitals"]
+    if values["type"] == "gpe" and n_orbitals != 1:
         raise ConfigError("field 'model.n_orbitals' must be 1 for type 'gpe'")
     try:
-        grid = GridSpec(dimension, n, length, boundary)
-        potential = _build_potential(grid, section.get("potential"), base_dir)
-        model = EnergyModel(grid, potential, kappa, sigma, n_orbitals)
+        grid = GridSpec(values["dimension"], values["grid_points"], values["domain_length"],
+                        values["boundary"])
+        potential = _build_potential(grid, values["potential"], base_dir)
+        model = EnergyModel(grid, potential, values["kappa"], values["sigma"], n_orbitals)
     except ConfigError:
         raise  # already names its field
     except (ValueError, TypeError) as exc:
@@ -172,31 +206,17 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
             f"field 'model.n_orbitals': {n_orbitals} orbitals need at least as many "
             f"grid unknowns, got {grid.n_dof}"
         )
-    return model, seed
+    return model, values["seed"]
 
 
 def _build_solver(config: dict) -> SolveConfig:
-    section = _section(config, "solver", required=False)
-    method = _field(section, "solver", "method", str, default=SOLVER_METHOD)
-    if method != SOLVER_METHOD:
+    values = _read(config.get("solver"), "solver", SOLVER)
+    if values["method"] != SOLVER_METHOD:
         raise ConfigError(
-            f"field 'solver.method' has unknown value {method!r}; "
+            f"field 'solver.method' has unknown value {values['method']!r}; "
             f"the only solver is {SOLVER_METHOD!r}"
         )
-    return _from_fields(SolveConfig, section, "solver", skip=("fixed_iters",))
-
-
-def _from_fields(cls, section: dict, path: str, skip=()):
-    """``cls`` built from ``section``: each dataclass field of ``cls`` not in
-    ``skip`` is read with its default's type and keeps its default when
-    absent, so each default is written once, on the dataclass."""
-    try:
-        return cls(**{
-            f.name: _field(section, path, f.name, type(f.default), default=f.default)
-            for f in dataclasses.fields(cls) if f.name not in skip
-        })
-    except ValueError as exc:
-        raise ConfigError(f"section '{path}': {exc}") from exc
+    return _build(SolveConfig, values, "solver")
 
 
 def _parse_methods(config: dict) -> list:
@@ -207,28 +227,25 @@ def _parse_methods(config: dict) -> list:
     seen = set()
     for i, entry in enumerate(entries):
         path = f"methods[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"entry '{path}' must be a mapping")
-        name = _field(entry, path, "name", str, required=True)
+        spec = _read(entry, path, METHOD)
+        name = spec["name"]
         if name not in METHOD_NAMES:
             raise ConfigError(f"field '{path}.name' has unknown value {name!r}")
         if name in seen:
             raise ConfigError(f"field '{path}.name': duplicate method {name!r}")
         seen.add(name)
-        retraction = _field(entry, path, "retraction", str, default=POLAR)
-        if retraction not in RETRACTION_KINDS:
-            raise ConfigError(f"field '{path}.retraction' has unknown value {retraction!r}")
-        methods.append(
-            {
-                "name": name,
-                "tau": _field(entry, path, "tau", float, default=0.1),
-                "fixed_iters": _field(entry, path, "fixed_iters", int, default=3),
-                "tol": _field(entry, path, "tol", float, default=1e-6),
-                "max_iter": _field(entry, path, "max_iter", int, default=2000),
-                "retraction": retraction,
-                "params": _from_fields(LineSearchParams, entry, path),
-            }
-        )
+        if spec["retraction"] not in RETRACTION_KINDS:
+            raise ConfigError(
+                f"field '{path}.retraction' has unknown value {spec['retraction']!r}")
+        # Checked here, so that no method runs on a config that a later one rejects.
+        for key, valid, need in (("tau", spec["tau"] > 0.0, "> 0"),
+                                 ("fixed_iters", spec["fixed_iters"] >= 1, ">= 1"),
+                                 ("max_iter", spec["max_iter"] >= 0, ">= 0")):
+            if not valid:
+                raise ConfigError(
+                    f"field '{path}.{key}' has invalid value {spec[key]!r}; need {need}")
+        spec["params"] = _build(LineSearchParams, spec, path)
+        methods.append(spec)
     return methods
 
 
@@ -246,6 +263,7 @@ def load_config(config_path) -> dict:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a mapping")
+    _read(config, "", SECTIONS)  # rejects an unknown section
     return config
 
 
@@ -313,16 +331,6 @@ def _summary_block(name: str, result: RunResult) -> str:
     )
 
 
-def _output_directory(output: dict, out_dir: Optional[str], base_dir: Path) -> Path:
-    """``--out-dir`` when given, else ``output.directory``; a relative path
-    is taken against the config's folder."""
-    directory = Path(
-        out_dir if out_dir is not None
-        else _field(output, "output", "directory", str, default="out")
-    )
-    return directory if directory.is_absolute() else base_dir / directory
-
-
 def run(
     config_path,
     out_dir: Optional[str] = None,
@@ -336,10 +344,9 @@ def run(
         model, config_seed = _build_model(config, base_dir)
         solver_config = _build_solver(config)
         methods = _parse_methods(config)
-        output = _section(config, "output", required=False)
-        directory = _output_directory(output, out_dir, base_dir)
-        write_csv = _field(output, "output", "csv", bool, default=True)
-        write_summary = _field(output, "output", "summary", bool, default=True)
+        output = _read(config.get("output"), "output", OUTPUT)
+        # --out-dir replaces output.directory; both resolve against the config's folder.
+        directory = base_dir / (out_dir if out_dir is not None else output["directory"])
         validate_coercivity(model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -361,7 +368,7 @@ def run(
         except (NumericalError, ValueError) as exc:  # ValueError: a non-finite frame
             print(f"method {spec['name']} failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        if write_csv:
+        if output["csv"]:
             _write_history_csv(directory / f"{spec['name']}.csv", result)
         if log_frames:
             _write_diagnostics_csv(
@@ -371,7 +378,7 @@ def run(
         if not result.converged:
             all_converged = False
             failure_cause = result.termination
-    if write_summary:
+    if output["summary"]:
         (directory / "summary.txt").write_text(
             "\n\n".join(blocks) + "\n", encoding="utf-8"
         )
@@ -387,8 +394,8 @@ def oracle(config_path, out_dir: Optional[str] = None) -> int:
         config = load_config(config_path)
         base_dir = Path(config_path).resolve().parent
         model, _ = _build_model(config, base_dir)
-        output = _section(config, "output", required=False)
-        directory = _output_directory(output, out_dir, base_dir)
+        output = _read(config.get("output"), "output", OUTPUT)
+        directory = base_dir / (out_dir if out_dir is not None else output["directory"])
         if model.kappa != 0.0:
             raise ConfigError("oracle is defined only for kappa = 0")
         if model.grid.n_dof > ORACLE_LIMIT:

@@ -188,6 +188,8 @@ def _descend(
     (E_n, 1); otherwise it follows ``nonmonotone_update``. A failed line
     search ends the run and its LineSearchFailure is kept on the result.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
     directions: Optional[List[Frame]] = [] if log_frames else None

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .frames import Frame, inner_h, outer_product
-from .models import DiscreteOperatorA, IterateState, cholesky_solve, spd_inverse
+from .models import DiscreteOperatorA, IterateState, cholesky_solve, csr_product, spd_inverse
 from .solvers import SolveConfig, solve
 
 EXACT_GRAD = "exact_grad"
@@ -81,7 +81,7 @@ class CorrectionWindow:
         self._corrections[:, cols] = correction
         self._size = max(self._size, cols.stop)
         self._next = cols.stop % self._corrections.shape[1]
-        block = self.corrections.T @ (op.matrix @ correction)
+        block = self.corrections.T @ csr_product(op.matrix, correction)
         self._gram[:self._size, cols] = block
         self._gram[cols, :self._size] = block.T
         self.diagonal = op.diagonal

@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 # After scipy.sparse: importing scipy.linalg first made every fresh
 # ``import stiefel_rgd`` about 50 ms slower.
 from scipy.linalg.lapack import dposv
@@ -49,6 +50,31 @@ def laplacian(grid: GridSpec) -> sp.csr_matrix:
         return lap1
     eye = sp.identity(n, format="csr")
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+
+
+def csr_product(matrix: sp.csr_matrix, block: np.ndarray) -> np.ndarray:
+    """``matrix @ block`` for a float64 block of columns, by the CSR kernels
+    behind ``@`` called directly: scipy's operator dispatch costs more than
+    the product itself on a 1D grid, and it copies an F-ordered block.
+
+    An F-ordered block (a single column included) is multiplied one
+    contiguous column at a time into an F-ordered result, which the blocked
+    PCG keeps; any other block as C-ordered rows, copied to C order when it
+    is not, into a C-ordered result, as ``@`` returns. Both kernels sum each
+    row's entries in the order they are stored, so the result equals
+    ``matrix @ block`` bit for bit.
+    """
+    n_rows, n_cols = matrix.shape
+    csr = (matrix.indptr, matrix.indices, matrix.data)
+    if block.flags.f_contiguous:
+        out = np.zeros((n_rows, block.shape[1]), order="F")
+        for j in range(block.shape[1]):
+            _sparsetools.csr_matvec(n_rows, n_cols, *csr, block[:, j], out[:, j])
+        return out
+    out = np.zeros((n_rows, block.shape[1]))
+    _sparsetools.csr_matvecs(n_rows, n_cols, block.shape[1], *csr,
+                             np.ascontiguousarray(block).ravel(), out.ravel())
+    return out
 
 
 class _OperatorPattern(NamedTuple):
@@ -248,7 +274,7 @@ class DiscreteOperatorA:
         """H-representative of the shifted form applied to each orbital."""
         if v.grid != self.model.grid:
             raise ShapeError("frame lives on a different grid")
-        return Frame._wrap(self.matrix @ v.values, v.grid)
+        return Frame._wrap(csr_product(self.matrix, v.values), v.grid)
 
     def bilinear(self, v: Frame, w: Frame) -> float:
         """Shifted bilinear form a_phi(v, w) + shift * (v, w)_H."""
@@ -264,7 +290,7 @@ class DiscreteOperatorA:
 def a0_form(model: EnergyModel, v: Frame, w: Frame) -> float:
     """Quadratic part of the energy: kinetic stencil plus external potential."""
     v._check_same_space(w)
-    lv = linear_part_matrix(model) @ v.values
+    lv = csr_product(linear_part_matrix(model), v.values)
     return model.grid.weight * float(np.vdot(lv, w.values))
 
 

@@ -5,7 +5,10 @@ inexact directions, for a fixed iteration count. All N columns run as one
 blocked PCG: each step makes one sparse product and one preconditioner
 application on the block of columns still running, while every column
 keeps its own step lengths, iteration count and stopping test. It is not
-block CG: no search space is shared between columns.
+block CG: no search space is shared between columns. The block state is
+F-ordered, so every column is contiguous: the sparse product
+(``models.csr_product``) runs the CSR kernel on each column in place, and
+no step copies the block to another layout.
 
 The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``:
 a sparse LU of the tridiagonal operator in 1D, and in 2D, where that
@@ -26,11 +29,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
 from .frames import Frame, GridSpec
-from .models import DiscreteOperatorA, laplacian
+from .models import DiscreteOperatorA, csr_product, laplacian
 
 PRECONDITIONER_NONE = "none"
 PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
@@ -154,27 +156,6 @@ def apply_preconditioner(kind: str, op: DiscreteOperatorA, r: Frame) -> Frame:
     return r if values is r.values else Frame._wrap(values, r.grid)
 
 
-def _block_product(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """``block -> matrix @ block`` as an F-ordered block, so each column is
-    contiguous.
-
-    Calls the CSR kernel behind ``matrix @ block`` directly: on a 1D grid
-    scipy's operator dispatch costs more than the product itself.
-    """
-    matrix = matrix.tocsr()
-    n_rows, n_cols = matrix.shape
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-
-    def product(block: np.ndarray) -> np.ndarray:
-        out = np.zeros((n_rows, block.shape[1]))
-        _sparsetools.csr_matvecs(
-            n_rows, n_cols, block.shape[1], indptr, indices, data, block.ravel(), out.ravel()
-        )
-        return np.asfortranarray(out)
-
-    return product
-
-
 def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot product of each column of ``u`` with the same column of ``v``.
 
@@ -204,7 +185,8 @@ def _pcg(
     Each column runs its own recursion, with its own step lengths, stopping
     test and iteration count, exactly as if it were solved alone; only the
     work is shared: one sparse product and one preconditioner application
-    per step on the block of columns still running. A column stops on a
+    per step on the F-ordered block of columns still running, each of
+    which returns an F-ordered block. A column stops on a
     zero right-hand side (0 iterations, zero solution), on ``rz == 0``, on
     reaching the budget, or in tolerance mode once its recursive residual
     and then its true residual fall below ``rel_tol`` times its norm. The
@@ -220,7 +202,6 @@ def _pcg(
     sparse products from a zero start and ``k + 1`` from a warm start.
     """
     n_dof, n_cols = b.shape
-    product = _block_product(matrix)
     b = np.asfortranarray(b)
     b_norms = np.sqrt(_column_dots(b, b)).tolist()
     x = np.zeros((n_dof, n_cols))
@@ -244,7 +225,8 @@ def _pcg(
         if fixed_iters is not None:
             norms = np.sqrt(_column_dots(r, r))[running].tolist()
         else:
-            true_r = b[:, _columns([cols[i] for i in positions], n_cols)] - product(xs[:, running])
+            true_r = (b[:, _columns([cols[i] for i in positions], n_cols)]
+                      - csr_product(matrix, xs[:, running]))
             norms = np.sqrt(_column_dots(true_r, true_r)).tolist()
             if confirm:
                 r[:, running] = true_r
@@ -269,7 +251,7 @@ def _pcg(
         r = np.array(b[:, running], order="F")
     else:
         xs = np.array(x0[:, running], order="F")
-        r = b[:, running] - product(xs)
+        r = b[:, running] - csr_product(matrix, xs)
     z = apply_m(r)
     p = np.array(z, order="F")
     rz = _column_dots(r, z)
@@ -279,7 +261,7 @@ def _pcg(
     while True:
         if 0.0 in rz.tolist() and not stop([i for i, v in enumerate(rz.tolist()) if v == 0.0]):
             break
-        ap = product(p)
+        ap = csr_product(matrix, p)
         pap = _column_dots(p, ap)
         if not all(v > 0.0 for v in pap.tolist()):
             raise OperatorNotSPDError("CG detected non-positive curvature")

@@ -310,6 +310,41 @@ class TestConfigValidation:
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [("", "solvr"), ("model", "grid_point"), ("model.potential", "omgea"),
+         ("model.potential", "depth"), ("methods[0]", "gama_max"), ("solver", "reltol"),
+         ("output", "csvv")],
+        ids=["top-level", "model", "potential", "potential-other-kind", "method", "solver",
+             "output"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, where, key):
+        # A misspelt key must not run silently with the default it meant to override.
+        config = base_config()
+        if where == "":
+            config[key] = {}
+        elif where == "methods[0]":
+            config["methods"][0][key] = 10.0
+        elif where == "model.potential":
+            config["model"]["potential"][key] = 10.0  # 'depth' is a key of kind 'well'
+        else:
+            config[where][key] = 1.0
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert f"'{where + '.' if where else ''}{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("max_iter", -1), ("tau", -0.1), ("tau", 0.0), ("fixed_iters", 0)])
+    def test_method_value_out_of_range_rejected_before_any_run(
+            self, tmp_path, capsys, key, value):
+        # The second entry is rejected before the first runs and writes its CSV.
+        config = base_config(methods=[{"name": "rgd_ls"}, {"name": "dcm", key: value}])
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert f"'methods[1].{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigValidationWithoutLibyaml(TestConfigValidation):
     """The same checks when PyYAML was built without libyaml, so that

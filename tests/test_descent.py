@@ -92,6 +92,17 @@ class TestFixedStep:
         assert len(run.history) == 4
         assert run.line_search_failure is None
 
+    @pytest.mark.parametrize("driver", ["rgd_fixed_step", "rgd_line_search"])
+    def test_negative_max_iter_rejected(self, driver):
+        # range(max_iter + 1) is empty, so the loop would visit no iterate.
+        model = make_model(n=16, length=1.0, omega=5.0, kappa=10.0, n_orbitals=1)
+        phi0 = initial_frame(model.grid, 1, 0)
+        with pytest.raises(ValueError, match="max_iter"):
+            if driver == "rgd_fixed_step":
+                rgd_fixed_step(model, phi0, 0.1, max_iter=-1, solver_config=DIRECT)
+            else:
+                rgd_line_search(model, phi0, max_iter=-1, solver_config=DIRECT)
+
     def test_degenerate_start_reported(self):
         model = make_model(n=32, length=1.0, omega=5.0, kappa=0.0, n_orbitals=2)
         column = np.ones((32, 1)) / np.sqrt(32 * model.grid.weight)

@@ -1,7 +1,5 @@
 """Exact/inexact gradients, the DCM direction, and their structural identities."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -27,7 +25,7 @@ from stiefel_rgd import (
     safeguarded_inexact_gradient,
     solve,
 )
-from stiefel_rgd import directions
+from stiefel_rgd import directions, models
 from stiefel_rgd.directions import (
     DCM,
     EXACT_GRAD,
@@ -37,6 +35,7 @@ from stiefel_rgd.directions import (
     recycled_start,
 )
 from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
+from stiefel_rgd.models import csr_product
 
 from conftest import (
     DIRECT,
@@ -417,37 +416,33 @@ class TestRecycledStart:
         window._gram[:len(window), :len(window)] *= -1.0
         assert recycled_start(state, window) is state.multiplier_warm_start
 
-    def test_one_sparse_product_per_exact_solve_recycles(self, exact_solves):
+    def test_one_sparse_product_per_exact_solve_recycles(self, exact_solves, monkeypatch):
         """Outside its Krylov solve an exact gradient makes one sparse product
         more than a truncated one, which makes a(eta, eta) alone: A E of its
         new correction. Moving the window to a new operator takes none."""
         model, _, gradients = exact_solves
         config = reference_solver_config()
+        products = []
 
-        class CountedMatrix:
-            """Counts ``matrix @ block``. The Krylov solve reads the CSR
-            matrix itself through ``tocsr``, so its products are not counted."""
+        def counted(matrix, block):
+            products.append(block.shape)
+            return csr_product(matrix, block)
 
-            def __init__(self, matrix):
-                self.matrix, self.products = matrix, 0
+        # The Krylov solve binds the helper in ``solvers``, so its products
+        # are not counted.
+        for module in (models, directions):
+            monkeypatch.setattr(module, "csr_product", counted)
 
-            def __matmul__(self, block):
-                self.products += 1
-                return self.matrix @ block
-
-            def __getattr__(self, name):
-                return getattr(self.matrix, name)
-
-        def counted(make_direction, state):
-            matrix = CountedMatrix(state.op.matrix)
-            sd = make_direction(replace(state, op=DiscreteOperatorA(model=model, matrix=matrix)))
+        def count(make_direction, state):
+            products.clear()
+            sd = make_direction(state)
             assert sd.inner_effort > 0
-            return matrix.products, sd
+            return len(products)
 
         window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
         for state, _, _ in gradients[:12]:
-            exact, _ = counted(lambda s: riemannian_gradient(s, config, window), state)
-            truncated, _ = counted(lambda s: inexact_gradient(s, 3, config), state)
+            exact = count(lambda s: riemannian_gradient(s, config, window), state)
+            truncated = count(lambda s: inexact_gradient(s, 3, config), state)
             assert (exact, truncated) == (2, 1)
         assert window.corrections.shape[1] == 8 * model.n_orbitals
 

@@ -26,6 +26,7 @@ from stiefel_rgd import (
 from stiefel_rgd.errors import DegenerateFrameError, OperatorNotSPDError
 from stiefel_rgd.geometry import retract_qr_mgs
 from stiefel_rgd.models import (
+    csr_product,
     laplacian,
     linear_part_matrix,
     spd_inverse,
@@ -250,6 +251,39 @@ class TestOperator:
                                   linear_part_matrix(well).toarray())
         expected = laplacian(grid) + sp.diags(well.potential, format="csr")
         assert np.array_equal(linear_part_matrix(well).toarray(), expected.toarray())
+
+
+class TestCsrProduct:
+    """``csr_product`` equals ``matrix @ block`` bit for bit in every layout,
+    and returns F order for an F-ordered block, C order otherwise."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+    @pytest.mark.parametrize("n_orbitals", [1, 3])
+    def test_equals_scipy_product(self, dimension, boundary, n_orbitals, rng):
+        grid = GridSpec(dimension, 41 if dimension == 1 else 11, 1.0, boundary)
+        model = EnergyModel(grid, potential_harmonic(grid, 7.0), kappa=13.0, shift=2.5,
+                            n_orbitals=n_orbitals)
+        frame = random_frame(grid, n_orbitals, rng)
+        # Entries over sixteen orders of magnitude, so that any change in the
+        # order of a row's sum shows in the last bits.
+        scales = 10.0 ** rng.uniform(-8.0, 8.0, (grid.n_dof, 2 * n_orbitals))
+        wide = scales * rng.standard_normal((grid.n_dof, 2 * n_orbitals))
+        fortran = np.asfortranarray(wide)
+        blocks = {
+            "C frame": (frame.values, "C"),
+            "F block": (fortran, "F"),
+            "F column subset": (fortran[:, [n_orbitals, 0]], "F"),
+            "C column subset": (wide[:, [2 * n_orbitals - 1]], "F"),
+            "strided block": (wide[:, ::2], "C"),
+        }
+        for matrix in (DiscreteOperatorA.at(model, frame).matrix, linear_part_matrix(model)):
+            for name, (block, order) in blocks.items():
+                product = csr_product(matrix, block)
+                expected = matrix @ block
+                assert product.shape == expected.shape, name
+                assert product.tobytes() == expected.tobytes(), name
+                assert product.flags[f"{order}_CONTIGUOUS"], name
 
 
 class TestDirectionalDerivative:

@@ -21,7 +21,7 @@ from stiefel_rgd import solvers
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import DIRICHLET, PERIODIC
 from stiefel_rgd.geometry import retract_qr_mgs
-from stiefel_rgd.models import laplacian
+from stiefel_rgd.models import csr_product, laplacian
 
 from conftest import dense_solve, make_model
 
@@ -296,18 +296,12 @@ class TestBlockedColumns:
         # A zero start takes r = b and fixed mode reads no final true
         # residual: k products from a zero start, one more from a warm start.
         calls = []
-        make_product = solvers._block_product
 
-        def counting(matrix):
-            product = make_product(matrix)
+        def counting(matrix, block):
+            calls.append(block.shape)
+            return csr_product(matrix, block)
 
-            def counted(block):
-                calls.append(block.shape)
-                return product(block)
-
-            return counted
-
-        monkeypatch.setattr(solvers, "_block_product", counting)
+        monkeypatch.setattr(solvers, "csr_product", counting)
         b = random_frame(model.grid, 4, rng)
         x0 = random_frame(model.grid, 4, rng) if warm else None
         x, report = solve(
@@ -327,18 +321,12 @@ class TestBlockedColumns:
 def product_widths(monkeypatch):
     """Column count of every sparse product the solver makes."""
     widths = []
-    make_product = solvers._block_product
 
-    def counting(matrix):
-        product = make_product(matrix)
+    def counting(matrix, block):
+        widths.append(block.shape[1])
+        return csr_product(matrix, block)
 
-        def counted(block):
-            widths.append(block.shape[1])
-            return product(block)
-
-        return counted
-
-    monkeypatch.setattr(solvers, "_block_product", counting)
+    monkeypatch.setattr(solvers, "csr_product", counting)
     return widths
 
 
