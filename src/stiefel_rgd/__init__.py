@@ -56,7 +56,6 @@ from .models import (
     IterateState,
     a0_form,
     a0_norm,
-    directional_derivative,
     energy,
     potential_from_file,
     potential_harmonic,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +49,9 @@ ORACLE_LIMIT = 8192  # largest n_dof the oracle's dense eigensolve accepts
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
+
+OUT_DIR_HELP = ("override output.directory; a relative path resolves against "
+                "the config file's folder, not the working directory")
 
 CSV_HEADER = (
     "iter,energy,residual_h_norm,grad_a_norm,step_size,"
@@ -431,7 +435,11 @@ def oracle(config_path, out_dir: Optional[str] = None) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse makes a
+    fresh namespace, so no value carries over from one ``main`` call to the
+    next."""
     parser = argparse.ArgumentParser(
         prog="stiefel-rgd",
         description="Ground states of nonlinear eigenvector problems by "
@@ -441,7 +449,7 @@ def main(argv=None) -> int:
 
     solve_parser = sub.add_parser("solve", help="run the configured descent methods")
     solve_parser.add_argument("config", help="path to the YAML run configuration")
-    solve_parser.add_argument("--out-dir", default=None, help="override output directory")
+    solve_parser.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
     solve_parser.add_argument("--seed", type=int, default=None, help="override the seed")
     solve_parser.add_argument(
         "--log-frames", action="store_true", help="store iterates and write diagnostics"
@@ -449,9 +457,12 @@ def main(argv=None) -> int:
 
     oracle_parser = sub.add_parser("oracle", help="dense eigensolve for kappa = 0")
     oracle_parser.add_argument("config", help="path to the YAML run configuration")
-    oracle_parser.add_argument("--out-dir", default=None, help="override output directory")
+    oracle_parser.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "solve":
         return run(args.config, args.out_dir, args.seed, args.log_frames)
     return oracle(args.config, args.out_dir)

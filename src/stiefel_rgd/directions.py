@@ -167,7 +167,8 @@ def recycled_start(state: IterateState, window: Optional[CorrectionWindow]) -> F
     window.move_to(state.op)
     v, gram = window.corrections, window.gram
     norms = gram.diagonal()
-    system = gram + np.diag(RIDGE * np.where(norms > 0.0, norms, 1.0))
+    system = gram.copy()
+    system.flat[::len(system) + 1] += RIDGE * np.where(norms > 0.0, norms, 1.0)  # its diagonal
     # -V^T rho = V^T r Lambda^{-1}, so the start subtracts V C.
     rhs = (v.T @ state.r.values) @ state.multiplier_inverse
     coeffs = cholesky_solve(system, rhs)
@@ -203,7 +204,8 @@ def riemannian_gradient(
     if window is None:
         return sd
     window.push(x.values - state.multiplier_warm_start.values, state.op)
-    return replace(sd, window=window)
+    sd.window = window
+    return sd
 
 
 def inexact_gradient(

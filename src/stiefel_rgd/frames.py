@@ -15,6 +15,7 @@ visited iterate once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,14 +48,17 @@ class GridSpec:
         if self.boundary not in (DIRICHLET, PERIODIC):
             raise ShapeError(f"unknown boundary condition {self.boundary!r}")
 
-    @property
+    # Computed once per grid: every inner product reads the weight. A cached
+    # property writes the instance dict directly, past the frozen
+    # __setattr__, and is not a field, so equality and hashing ignore it.
+    @cached_property
     def spacing(self) -> float:
         n = self.points_per_axis
         if self.boundary == DIRICHLET:
             return self.domain_length / (n + 1)
         return self.domain_length / n
 
-    @property
+    @cached_property
     def weight(self) -> float:
         """Quadrature weight of one grid point, h^d."""
         return self.spacing**self.dimension
@@ -76,6 +80,13 @@ class GridSpec:
             return axis[:, None]
         x, y = np.meshgrid(axis, axis, indexing="ij")
         return np.column_stack([x.ravel(), y.ravel()])
+
+
+def same_grid(a: GridSpec, b: GridSpec) -> bool:
+    """``a == b``, settled by identity first: the frames and operators of one
+    run all hold one grid object, and comparing fields costs more than the
+    frame arithmetic on a small grid."""
+    return a is b or a == b
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +137,7 @@ class Frame:
         return self.values.shape[1]
 
     def _check_same_space(self, other: "Frame"):
-        if self.grid != other.grid or self.n_orbitals != other.n_orbitals:
+        if not same_grid(self.grid, other.grid) or self.n_orbitals != other.n_orbitals:
             raise ShapeError("frames live on different grids or have different N")
 
     def __add__(self, other: "Frame") -> "Frame":

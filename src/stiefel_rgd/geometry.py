@@ -4,6 +4,13 @@ A frame phi is on the manifold when its Gram matrix is the identity; a
 frame eta is tangent at phi when the Gram cross-product is skew-symmetric.
 The tangent projection is orthogonal in the frame-dependent energy metric
 and reduces to a single small Lyapunov solve.
+
+The polar retraction decomposes its N x N Gram matrix by calling LAPACK
+``dsyevd`` from ``scipy.linalg.lapack`` directly, as ``models.cholesky_solve``
+calls ``dposv``: on matrices this small, ``np.linalg.eigh``'s Python wrapper
+costs more than the decomposition. ``np.linalg.eigh`` calls the same routine
+on the same (lower) triangle; with the numpy and scipy builds of the README's
+numerical notes both gave the same bits.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, RankDeficiencyError
 from .frames import Frame, multiply_right, outer_product
+from .models import dsyevd  # imported there after scipy.sparse, see models
 
 # Relative eigenvalue threshold below which a Gram matrix counts as rank
 # deficient; matches double-precision conditioning of the square-root and
@@ -91,10 +99,14 @@ def project_tangent(phi: Frame, v: Frame, a_solve: Callable[[Frame], Frame]) -> 
 
 
 def _spectral_sqrt_inverse(gram: np.ndarray) -> np.ndarray:
-    d, q = np.linalg.eigh(gram)
-    if d.min() <= EPS_RANK * d.max():
+    """The inverse square root of the symmetric ``gram``, read from its lower
+    triangle, by one LAPACK ``dsyevd``. Scaling the columns of q by
+    1/sqrt(d) gives the bits of ``q @ diag(1/sqrt(d))``: the diagonal
+    product only adds exact zeros."""
+    d, q, info = dsyevd(gram, lower=1)
+    if info != 0 or d[0] <= EPS_RANK * d[-1]:  # d ascends
         raise RankDeficiencyError("frame is numerically rank deficient")
-    return q @ np.diag(1.0 / np.sqrt(d)) @ q.T
+    return (q * (1.0 / np.sqrt(d))) @ q.T
 
 
 def retract_polar(phi: Frame, eta: Frame) -> Frame:

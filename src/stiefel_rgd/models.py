@@ -5,6 +5,13 @@ with a density nonlinearity that is linear in the total density:
 gamma(rho) = kappa * rho. For a single orbital this is the standard cubic
 Gross-Pitaevskii energy; for several orbitals it is a density-coupled
 multi-orbital model on the Stiefel manifold.
+
+Small dense systems go to LAPACK through ``scipy.linalg.lapack`` directly:
+``dposv`` for the Cholesky solves here, ``dsyevd`` for the polar
+retraction in ``geometry``. On N x N matrices the checking wrappers of
+numpy and scipy cost more than the factorizations. ``scipy.linalg`` is
+imported after ``scipy.sparse``: the other order made every fresh
+``import stiefel_rgd`` about 50 ms slower.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
-# After scipy.sparse: importing scipy.linalg first made every fresh
-# ``import stiefel_rgd`` about 50 ms slower.
-from scipy.linalg.lapack import dposv
+# After scipy.sparse (see the module docstring); ``geometry`` takes dsyevd
+# from here, so that it keeps this order too.
+from scipy.linalg.lapack import dposv, dsyevd
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, ShapeError
 from .frames import (
@@ -32,6 +39,7 @@ from .frames import (
     multiply_right,
     norm_h,
     outer_product,
+    same_grid,
 )
 
 
@@ -231,10 +239,19 @@ def spd_inverse(matrix: np.ndarray, singular: str) -> np.ndarray:
     """Inverse of the symmetric part of the small ``matrix`` by
     ``cholesky_solve``. Raises DegenerateFrameError(``singular``) when that
     part is not numerically positive definite."""
-    inverse = cholesky_solve(0.5 * (matrix + matrix.T), np.eye(len(matrix)))
+    inverse = cholesky_solve(0.5 * (matrix + matrix.T), _identity(len(matrix)))
     if inverse is None:
         raise DegenerateFrameError(singular)
     return inverse
+
+
+@lru_cache(maxsize=None)
+def _identity(order: int) -> np.ndarray:
+    """A read-only identity of ``order``, shared by every call: ``dposv``
+    solves in a copy of its right-hand side."""
+    eye = np.eye(order)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(eq=False)
@@ -260,7 +277,7 @@ class DiscreteOperatorA:
 
     @classmethod
     def at(cls, model: EnergyModel, phi: Frame) -> "DiscreteOperatorA":
-        if phi.grid != model.grid:
+        if not same_grid(phi.grid, model.grid):
             raise ShapeError("anchor frame lives on a different grid")
         pattern = _operator_pattern(model.grid)
         data = pattern.stencil.data.copy()
@@ -272,16 +289,13 @@ class DiscreteOperatorA:
 
     def apply(self, v: Frame) -> Frame:
         """H-representative of the shifted form applied to each orbital."""
-        if v.grid != self.model.grid:
+        if not same_grid(v.grid, self.model.grid):
             raise ShapeError("frame lives on a different grid")
         return Frame._wrap(csr_product(self.matrix, v.values), v.grid)
 
     def bilinear(self, v: Frame, w: Frame) -> float:
         """Shifted bilinear form a_phi(v, w) + shift * (v, w)_H."""
         return inner_h(self.apply(v), w)
-
-    def bilinear_unshifted(self, v: Frame, w: Frame) -> float:
-        return self.bilinear(v, w) - self.model.shift * inner_h(v, w)
 
     def norm_a(self, v: Frame) -> float:
         return float(np.sqrt(max(self.bilinear(v, v), 0.0)))
@@ -303,13 +317,6 @@ def energy(model: EnergyModel, phi: Frame) -> float:
     rho = density(phi)
     nonlinear = model.grid.weight * float(np.sum(model.gamma_primitive(rho)))
     return 0.5 * a0_form(model, phi, phi) + 0.5 * nonlinear
-
-
-def directional_derivative(model: EnergyModel, phi: Frame, v: Frame) -> float:
-    """Ambient first variation of E at phi along v (no shift involved). It is
-    not the slope along a retraction, ``<r, v>``, when v is not tangent."""
-    op = DiscreteOperatorA.at(model, phi)
-    return op.bilinear_unshifted(phi, v)
 
 
 def residual(

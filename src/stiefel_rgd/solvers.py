@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
-from .frames import Frame, GridSpec
+from .frames import Frame, GridSpec, same_grid
 from .models import DiscreteOperatorA, csr_product, laplacian
 
 PRECONDITIONER_NONE = "none"
@@ -304,10 +304,10 @@ def solve(
     ``r . M r`` reaches 0 first, and reports each column's recursive
     residual. A zero column of B gets the zero solution in 0 iterations.
     """
-    if b.grid != op.model.grid:
+    if not same_grid(b.grid, op.model.grid):
         raise ShapeError("right-hand side lives on a different grid")
     if warm_start is not None and (
-        warm_start.grid != b.grid or warm_start.n_orbitals != b.n_orbitals
+        not same_grid(warm_start.grid, b.grid) or warm_start.n_orbitals != b.n_orbitals
     ):
         raise ShapeError("warm start is incompatible with the right-hand side")
 

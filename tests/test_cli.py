@@ -148,6 +148,19 @@ class TestSolveCommand:
         assert diag[0] == "iter,r2,r3"
         assert len(diag) >= 2
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, tmp_path):
+        """The parser is built once per process; each call parses afresh."""
+        path = write_config(tmp_path, base_config())
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "a"),
+                     "--log-frames", "--seed", "5"]) == EXIT_OK
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "rgd_ls_diagnostics.csv").exists()
+        assert not list((tmp_path / "b").glob("*_diagnostics.csv"))
+        first, second = ((tmp_path / out / "summary.txt").read_text().splitlines()[0]
+                         for out in ("a", "b"))
+        assert first.endswith(" seed=5")
+        assert second.endswith(" seed=3")
+
     def test_potential_from_file(self, tmp_path):
         values = np.linspace(0.0, 1.0, 48)
         pot_path = tmp_path / "pot.txt"

@@ -57,6 +57,12 @@ class TestGridSpec:
         assert g.n_dof == 25
         assert g.weight == pytest.approx(g.spacing**2)
 
+    def test_cached_spacing_leaves_equality_and_hash(self):
+        g, fresh = GridSpec(2, 5, 1.0), GridSpec(2, 5, 1.0)
+        assert g.weight == pytest.approx(g.spacing**2)  # now cached on g alone
+        assert g == fresh and hash(g) == hash(fresh)
+        assert g != GridSpec(2, 5, 2.0)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ShapeError):
             GridSpec(3, 4, 1.0)
@@ -109,6 +115,15 @@ class TestOuterProduct:
         other = random_frame(GridSpec(1, 8, 1.0), 2, rng)
         with pytest.raises(ShapeError):
             outer_product(v, other)
+
+    def test_equal_grids_of_distinct_objects_combine(self, grid, rng):
+        twin = GridSpec(grid.dimension, grid.points_per_axis, grid.domain_length,
+                        grid.boundary)
+        assert twin is not grid
+        v, w = random_frame(grid, 2, rng), random_frame(twin, 2, rng)
+        np.testing.assert_array_equal((v + w).values, v.values + w.values)
+        np.testing.assert_array_equal(outer_product(v, w),
+                                      grid.weight * (v.values.T @ w.values))
 
 
 class TestInnerH:

@@ -180,6 +180,23 @@ class TestPolarRetraction:
         with pytest.raises(RankDeficiencyError):
             retract_polar(collapsed, 0.0 * collapsed)
 
+    @pytest.mark.parametrize("dimension, n", [(1, 40), (2, 9)])
+    @pytest.mark.parametrize("n_orbitals", [1, 3, 4])
+    def test_matches_eigh_formula(self, rng, dimension, n, n_orbitals):
+        """Against (phi + eta) (q diag(d^-1/2) q^T) from numpy's eigh of the
+        Gram matrix. To a tolerance, not bit for bit: numpy and scipy each
+        ship their own LAPACK build."""
+        grid = GridSpec(dimension, n, 1.0)
+        for _ in range(5):
+            phi, _ = retract_qr_mgs(random_frame(grid, n_orbitals, rng))
+            eta = 0.3 * random_frame(grid, n_orbitals, rng)
+            moved = (phi + eta).values
+            gram = grid.weight * (moved.T @ moved)
+            d, q = np.linalg.eigh(0.5 * (gram + gram.T))
+            expected = moved @ (q @ np.diag(d**-0.5) @ q.T)
+            out = retract_polar(phi, eta).values
+            assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
 
 class TestQrRetraction:
     def test_orthonormal_input_is_fixed_point(self, phi):

@@ -11,7 +11,6 @@ from stiefel_rgd import (
     GridSpec,
     ShapeError,
     a0_form,
-    directional_derivative,
     energy,
     inner_h,
     norm_h,
@@ -29,6 +28,7 @@ from stiefel_rgd.models import (
     csr_product,
     laplacian,
     linear_part_matrix,
+    _identity,
     spd_inverse,
     validate_coercivity,
 )
@@ -252,6 +252,18 @@ class TestOperator:
         expected = laplacian(grid) + sp.diags(well.potential, format="csr")
         assert np.array_equal(linear_part_matrix(well).toarray(), expected.toarray())
 
+    def test_unshifted_form_is_first_variation_of_energy(self, rng):
+        """a_phi(phi, v) = <A phi - s phi, v> is the ambient derivative of E
+        at phi along v."""
+        model = make_model(n=32, length=1.0, omega=5.0, kappa=50.0, n_orbitals=2,
+                           shift=3.0)
+        phi = random_frame(model.grid, 2, rng)
+        v = random_frame(model.grid, 2, rng)
+        t = 1e-5
+        fd = (energy(model, phi + t * v) - energy(model, phi - t * v)) / (2 * t)
+        op = DiscreteOperatorA.at(model, phi)
+        assert op.bilinear(phi, v) - model.shift * inner_h(phi, v) == pytest.approx(fd, rel=1e-6)
+
 
 class TestCsrProduct:
     """``csr_product`` equals ``matrix @ block`` bit for bit in every layout,
@@ -284,31 +296,6 @@ class TestCsrProduct:
                 assert product.shape == expected.shape, name
                 assert product.tobytes() == expected.tobytes(), name
                 assert product.flags[f"{order}_CONTIGUOUS"], name
-
-
-class TestDirectionalDerivative:
-    def test_zero_direction(self, rng):
-        model = make_model(n=16, length=1.0, omega=5.0, kappa=3.0, n_orbitals=2)
-        phi = random_frame(model.grid, 2, rng)
-        assert directional_derivative(model, phi, zero_frame(model.grid, 2)) == 0.0
-
-    def test_quadratic_identity_for_linear_model(self, rng):
-        grid = GridSpec(1, 24, 1.0)
-        model = EnergyModel(
-            grid, potential_harmonic(grid, 5.0), kappa=0.0, n_orbitals=2
-        )
-        phi = random_frame(grid, 2, rng)
-        assert directional_derivative(model, phi, phi) == pytest.approx(
-            2.0 * energy(model, phi), rel=1e-12
-        )
-
-    def test_matches_centered_difference(self, rng):
-        model = make_model(n=32, length=1.0, omega=5.0, kappa=50.0, n_orbitals=2)
-        phi = random_frame(model.grid, 2, rng)
-        v = random_frame(model.grid, 2, rng)
-        t = 1e-5
-        fd = (energy(model, phi + t * v) - energy(model, phi - t * v)) / (2 * t)
-        assert directional_derivative(model, phi, v) == pytest.approx(fd, rel=1e-6)
 
 
 class TestResidual:
@@ -405,6 +392,20 @@ class TestSpdInverse:
         spd = m @ m.T + 4.0 * np.eye(4)
         np.testing.assert_allclose(spd_inverse(spd + 1e-3 * (m - m.T), "singular"),
                                    np.linalg.inv(spd), rtol=1e-12, atol=1e-14)
+
+    def test_repeated_calls_leave_shared_identity_intact(self, rng):
+        """Every call of one order solves against the same read-only
+        identity; no call may write into it."""
+        a = rng.standard_normal((3, 3))
+        matrix = a @ a.T + 3.0 * np.eye(3)
+        first = spd_inverse(matrix, "singular")
+        for _ in range(3):
+            again = spd_inverse(matrix, "singular")
+            assert again.tobytes() == first.tobytes()
+            again[:] = 0.0  # the caller owns the result
+        assert np.array_equal(_identity(3), np.eye(3))
+        assert not _identity(3).flags.writeable
+        assert np.allclose(first @ matrix, np.eye(3), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.diag([1.0, -1.0, 2.0]),
                                         np.array([[1.0, 1.0], [1.0, 1.0]])],
