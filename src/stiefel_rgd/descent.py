@@ -4,14 +4,14 @@ with alternating Barzilai-Borwein trial steps, plus convergence diagnostics."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .directions import EXACT_GRAD, SearchDirection, compute_direction
 from .errors import NumericalError
-from .frames import Frame, GridSpec, inner_h, random_frame
+from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
 from .models import EnergyModel, IterateState, a0_norm, energy, multiplier_eigenvalues
 from .solvers import SolveConfig
@@ -149,18 +149,20 @@ def line_search(
     non-monotone Armijo condition
     E(R(phi, tau eta)) <= c - beta tau a_phi(eta, eta)
     holds against the reference energy ``c``. Returns the accepted iterate's
-    state, its step tau and the backtracks k; the accepted trial is evaluated
-    once and keeps the energy the test read. When every trial fails, returns
-    the LineSearchFailure of the last one. With ``params`` None (the
+    state, its step tau and the backtracks k. Each trial's density is
+    computed once; the accepted trial is evaluated once, from that density,
+    and keeps the energy the test read. When every trial fails, returns the
+    LineSearchFailure of the last one. With ``params`` None (the
     fixed-step driver) the one trial at ``gamma`` is taken without a test.
     """
     for k in range(1 if params is None else params.max_backtracks + 1):
         tau = gamma if params is None else gamma * params.delta**k
         candidate = retract(state.phi, tau * sd.direction, retraction)
-        e_trial = energy(model, candidate)
+        rho = density(candidate)
+        e_trial = energy(model, candidate, rho)
         target = 0.0 if params is None else params.beta * tau * sd.gram_of_direction
         if params is None or e_trial <= c - target:
-            return IterateState.at(model, candidate, e_trial), tau, k
+            return IterateState.at(model, candidate, e_trial, rho), tau, k
     return LineSearchFailure(e_trial - state.energy, target, c - state.energy, k)
 
 
@@ -184,16 +186,21 @@ def _descend(
     trial step to ``line_search``: ``fixed_tau`` with ``params`` None, else
     the alternating BB step (``gamma0`` at the first iterate). It appends one
     IterationRecord per visited iterate, with the step and backtracks that
-    left it. With a fixed step the reference pair stays (c_n, q_n) =
-    (E_n, 1); otherwise it follows ``nonmonotone_update``. A failed line
-    search ends the run and its LineSearchFailure is kept on the result.
+    left it. ``config`` is the exact gradient's tolerance-mode solver
+    config; the inexact and DCM directions run it truncated at
+    ``fixed_iters`` steps, a config built once here. With a fixed step the
+    reference pair stays (c_n, q_n) = (E_n, 1); otherwise it follows
+    ``nonmonotone_update``. A failed line search ends the run and its
+    LineSearchFailure is kept on the result.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
     directions: Optional[List[Frame]] = [] if log_frames else None
-    state = IterateState.at(model, phi0, energy(model, phi0))
+    truncated = replace(config, fixed_iters=fixed_iters)
+    rho = density(phi0)
+    state = IterateState.at(model, phi0, energy(model, phi0, rho), rho)
     prev_phi: Optional[Frame] = None
     prev_eta: Optional[SearchDirection] = None
     c, q = state.energy, 1.0
@@ -204,7 +211,7 @@ def _descend(
             frames.append(state.phi)
         grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
         try:
-            sd = compute_direction(state, direction_kind, config, fixed_iters, prev_eta)
+            sd = compute_direction(state, direction_kind, config, truncated, prev_eta)
         except NumericalError:
             termination = TERMINATION_DEGENERATE
         else:

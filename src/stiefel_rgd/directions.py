@@ -208,30 +208,34 @@ def riemannian_gradient(
     return sd
 
 
-def inexact_gradient(
-    state: IterateState, fixed_iters: int, config: SolveConfig
-) -> SearchDirection:
+def _require_fixed(config: SolveConfig, kind: str) -> None:
+    if config.fixed_iters is None:
+        raise ValueError(f"the {kind} direction requires a fixed-iteration solver config")
+
+
+def inexact_gradient(state: IterateState, config: SolveConfig) -> SearchDirection:
     """Gradient surrogate from a fixed number of preconditioned CG steps.
 
     Built like the exact gradient, but with the solve of A Y = phi
-    truncated after ``fixed_iters`` steps and started from phi Lambda^{-1}
-    alone: adding recycled corrections of the exact gradient to this start
-    made the truncated directions worse (README, "Numerical notes").
-    Not re-projected: the retraction absorbs the normal component.
+    truncated after ``config.fixed_iters`` steps and started from
+    phi Lambda^{-1} alone: adding recycled corrections of the exact
+    gradient to this start made the truncated directions worse (README,
+    "Numerical notes"). Not re-projected: the retraction absorbs the normal
+    component.
     """
-    return _gradient(state, replace(config, fixed_iters=fixed_iters), INEXACT_GRAD)[0]
+    _require_fixed(config, INEXACT_GRAD)
+    return _gradient(state, config, INEXACT_GRAD)[0]
 
 
-def dcm_direction(
-    state: IterateState, fixed_iters: int, config: SolveConfig
-) -> SearchDirection:
+def dcm_direction(state: IterateState, config: SolveConfig) -> SearchDirection:
     """Preconditioned residual direction of direct constrained minimization.
 
-    Applies ``fixed_iters`` CG steps (zero start) to A z = r with
+    Applies ``config.fixed_iters`` CG steps (zero start) to A z = r with
     r = A phi - phi [[phi, A phi]] the residual of ``state`` and returns
     eta = -z. Vanishes at critical points.
     """
-    z, report = solve(state.op, state.r, replace(config, fixed_iters=fixed_iters))
+    _require_fixed(config, DCM)
+    z, report = solve(state.op, state.r, config)
     eta = -z
     return SearchDirection(
         direction=eta,
@@ -243,28 +247,29 @@ def dcm_direction(
 
 def safeguarded_inexact_gradient(
     state: IterateState,
-    fixed_iters: int,
     config: SolveConfig,
     max_doublings: int = 4,
 ) -> SearchDirection:
     """Inexact gradient with a descent safeguard.
 
-    If the slope along the retraction ``<r, eta>`` (r the residual) is
+    The first attempt runs ``config``, a fixed-iteration config. If the
+    slope along the retraction ``<r, eta>`` (r the residual) is
     non-negative, the inner iteration count is doubled (up to
     ``max_doublings`` times); as a last resort the exact gradient is used,
-    started from phi Lambda^{-1} and without a window: the next direction
-    is inexact again and would not read one. Effort of discarded attempts
-    counts toward the returned direction.
+    with ``config`` in tolerance mode, started from phi Lambda^{-1} and
+    without a window: the next direction is inexact again and would not
+    read one. Effort of discarded attempts counts toward the returned
+    direction.
     """
     effort = 0
-    iters = fixed_iters
+    attempt = config
     for _ in range(max_doublings + 1):
-        sd = inexact_gradient(state, iters, config)
+        sd = inexact_gradient(state, attempt)
         effort += sd.inner_effort
         if inner_h(state.r, sd.direction) < 0.0:
             return replace(sd, inner_effort=effort)
-        iters *= 2
-    sd = riemannian_gradient(state, config)
+        attempt = replace(attempt, fixed_iters=2 * attempt.fixed_iters)
+    sd = riemannian_gradient(state, replace(config, fixed_iters=None))
     return replace(sd, inner_effort=effort + sd.inner_effort)
 
 
@@ -272,11 +277,14 @@ def compute_direction(
     state: IterateState,
     kind: str,
     config: SolveConfig,
-    fixed_iters: int,
+    truncated: SolveConfig,
     previous: Optional[SearchDirection] = None,
 ) -> SearchDirection:
     """The search direction of kind ``kind`` at the evaluated iterate ``state``.
 
+    The exact gradient solves with the tolerance-mode ``config``; the
+    inexact gradient and DCM with ``truncated``, its fixed-iteration
+    counterpart, which the descent driver builds once per run.
     ``previous`` is the direction taken from the previous iterate; only the
     exact gradient reads it, to project its start onto the window of
     corrections ``previous`` carries and push its own correction into it.
@@ -289,7 +297,7 @@ def compute_direction(
             window = CorrectionWindow(state.phi.grid.n_dof, state.phi.n_orbitals)
         return riemannian_gradient(state, config, window)
     if kind == INEXACT_GRAD:
-        return safeguarded_inexact_gradient(state, fixed_iters, config)
+        return safeguarded_inexact_gradient(state, truncated)
     if kind == DCM:
-        return dcm_direction(state, fixed_iters, config)
+        return dcm_direction(state, truncated)
     raise ValueError(f"unknown direction kind {kind!r}")

@@ -8,7 +8,9 @@ multi-orbital model on the Stiefel manifold.
 
 Small dense systems go to LAPACK through ``scipy.linalg.lapack`` directly:
 ``dposv`` for the Cholesky solves here, ``dsyevd`` for the polar
-retraction in ``geometry``. On N x N matrices the checking wrappers of
+retraction in ``geometry``, and ``dpttrf``/``dpttrs`` for the tridiagonal
+kinetic-shift preconditioner of 1D Dirichlet grids in ``solvers``. On
+N x N matrices, and on O(n) tridiagonal solves, the checking wrappers of
 numpy and scipy cost more than the factorizations. ``scipy.linalg`` is
 imported after ``scipy.sparse``: the other order made every fresh
 ``import stiefel_rgd`` about 50 ms slower.
@@ -25,9 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
-# After scipy.sparse (see the module docstring); ``geometry`` takes dsyevd
-# from here, so that it keeps this order too.
-from scipy.linalg.lapack import dposv, dsyevd
+# After scipy.sparse (see the module docstring); ``geometry`` and
+# ``solvers`` take their LAPACK routines from here, so that they keep this
+# order too.
+from scipy.linalg.lapack import dposv, dpttrf, dpttrs, dsyevd
 
 from .errors import DegenerateFrameError, OperatorNotSPDError, ShapeError
 from .frames import (
@@ -260,7 +263,8 @@ class DiscreteOperatorA:
 
     ``matrix`` acts columnwise as stencil + V_ext + gamma(rho) + shift and is
     the H-representative of the (shifted) bilinear form, with gamma(rho)
-    taken at the anchor's density; instances are read-only after ``at``.
+    taken at the anchor's density; instances are read-only after ``at``,
+    which takes that density when the caller has it.
     ``diagonal`` is the diagonal of ``matrix``, read-only: ``at`` hands over
     the entries it has just filled, and it is read from ``matrix`` when not
     given.
@@ -276,12 +280,15 @@ class DiscreteOperatorA:
         self.diagonal.setflags(write=False)
 
     @classmethod
-    def at(cls, model: EnergyModel, phi: Frame) -> "DiscreteOperatorA":
+    def at(cls, model: EnergyModel, phi: Frame,
+           rho: Optional[np.ndarray] = None) -> "DiscreteOperatorA":
         if not same_grid(phi.grid, model.grid):
             raise ShapeError("anchor frame lives on a different grid")
+        if rho is None:
+            rho = density(phi)
         pattern = _operator_pattern(model.grid)
         data = pattern.stencil.data.copy()
-        data[pattern.diagonal_slots] += model.potential + model.gamma(density(phi)) + model.shift
+        data[pattern.diagonal_slots] += model.potential + model.gamma(rho) + model.shift
         # A shallow copy shares the read-only index arrays of the pattern.
         matrix = copy.copy(pattern.stencil)
         matrix.data = data
@@ -312,9 +319,11 @@ def a0_norm(model: EnergyModel, v: Frame) -> float:
     return float(np.sqrt(max(a0_form(model, v, v), 0.0)))
 
 
-def energy(model: EnergyModel, phi: Frame) -> float:
-    """Total energy: half the quadratic form plus the integrated nonlinearity."""
-    rho = density(phi)
+def energy(model: EnergyModel, phi: Frame, rho: Optional[np.ndarray] = None) -> float:
+    """Total energy: half the quadratic form plus the integrated nonlinearity.
+    ``rho`` is the density of ``phi`` when the caller has it."""
+    if rho is None:
+        rho = density(phi)
     nonlinear = model.grid.weight * float(np.sum(model.gamma_primitive(rho)))
     return 0.5 * a0_form(model, phi, phi) + 0.5 * nonlinear
 
@@ -363,17 +372,21 @@ class IterateState:
     energy: float
 
     @classmethod
-    def at(cls, model: EnergyModel, phi: Frame, e: Optional[float] = None) -> "IterateState":
-        """Evaluate iterate phi; ``e`` is its energy when the caller has it.
+    def at(cls, model: EnergyModel, phi: Frame, e: Optional[float] = None,
+           rho: Optional[np.ndarray] = None) -> "IterateState":
+        """Evaluate iterate phi; ``e`` is its energy and ``rho`` its density
+        when the caller has them. The density is computed at most once.
 
         The one finiteness check of an iterate: retractions and frame
         arithmetic do not scan their results.
         """
         if not np.isfinite(phi.values).all():
             raise ValueError("frame contains non-finite entries")
-        op = DiscreteOperatorA.at(model, phi)
+        if rho is None:
+            rho = density(phi)
+        op = DiscreteOperatorA.at(model, phi, rho)
         r, lam = residual(model, phi, op.apply(phi))
-        return cls(phi, op, lam, r, norm_h(r), energy(model, phi) if e is None else e)
+        return cls(phi, op, lam, r, norm_h(r), energy(model, phi, rho) if e is None else e)
 
     @cached_property
     def multiplier_inverse(self) -> np.ndarray:

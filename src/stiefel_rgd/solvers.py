@@ -10,10 +10,13 @@ F-ordered, so every column is contiguous: the sparse product
 (``models.csr_product``) runs the CSR kernel on each column in place, and
 no step copies the block to another layout.
 
-The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``:
-a sparse LU of the tridiagonal operator in 1D, and in 2D, where that
-operator is the Kronecker sum ``L1 (x) I + I (x) L1 + I`` of the 1D stencil
-``L1 = Q diag(lam) Q^T``, the product ``(Q (x) Q) diag(1 / (lam_i + lam_j +
+The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``.
+On a 1D Dirichlet grid that operator is tridiagonal: LAPACK ``dpttrf``
+factors it as L D L^T once per grid, and each application is one
+``dpttrs`` call on the whole block. On a 1D periodic grid the stencil is
+cyclic, not tridiagonal, and a sparse LU (SuperLU) solves it. In 2D,
+where that operator is the Kronecker sum ``L1 (x) I + I (x) L1 + I`` of
+the 1D stencil ``L1 = Q diag(lam) Q^T``, the product ``(Q (x) Q) diag(1 / (lam_i + lam_j +
 1)) (Q (x) Q)^T`` (the fast diagonalization method of Lynch, Rice and
 Thomas, 1964), applied to each column as four dense ``(n, n)`` matrix
 products; nothing is factored in 2D.
@@ -31,8 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
-from .frames import Frame, GridSpec, same_grid
-from .models import DiscreteOperatorA, csr_product, laplacian
+from .frames import DIRICHLET, Frame, GridSpec, same_grid
+from .models import DiscreteOperatorA, csr_product, dpttrf, dpttrs, laplacian
 
 PRECONDITIONER_NONE = "none"
 PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
@@ -98,8 +101,23 @@ class SolveReport:
 
 @lru_cache(maxsize=None)
 def _kinetic_shift_factorization(grid: GridSpec, c0: float):
+    """Sparse LU of ``laplacian(grid) + c0 I`` on a periodic 1D grid."""
     mat = (laplacian(grid) + c0 * sp.identity(grid.n_dof)).tocsc()
     return spla.splu(mat)
+
+
+@lru_cache(maxsize=None)
+def _kinetic_shift_tridiagonal(grid: GridSpec, c0: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The L D L^T factors of the tridiagonal ``laplacian(grid) + c0 I`` on
+    a 1D Dirichlet grid, by LAPACK ``dpttrf``, read-only: the diagonal of D
+    and the subdiagonal of the unit bidiagonal L, as ``dpttrs`` reads them."""
+    lap = laplacian(grid)
+    d, e, info = dpttrf(lap.diagonal() + c0, lap.diagonal(1))
+    if info != 0:
+        raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
+    for array in (d, e):
+        array.setflags(write=False)
+    return d, e
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +141,14 @@ def _kinetic_shift_eigenbasis(grid: GridSpec, c0: float) -> Tuple[np.ndarray, np
 def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndarray], np.ndarray]:
     """The chosen preconditioner as a map on one column or a block of columns.
 
-    ``kinetic_shift`` is the exact inverse of ``laplacian + I``. In 1D the
-    operator is tridiagonal (cyclic when periodic), so its sparse LU solve
-    costs O(n) and stays. In 2D each column is reshaped to an ``(n, n)``
-    array ``X`` (grid index ``i * n + j`` at ``X[i, j]``) and mapped to
+    ``kinetic_shift`` is the exact inverse of ``laplacian + I``. On a 1D
+    Dirichlet grid the operator is tridiagonal, and one LAPACK ``dpttrs``
+    call solves the whole block with the cached ``dpttrf`` factors: O(n)
+    per column, each column solved on its own, and an F-ordered result for
+    a block, a vector for a vector. On a 1D periodic grid the stencil is
+    cyclic, so its sparse LU (SuperLU) solves it. In 2D each column is
+    reshaped to an ``(n, n)`` array ``X`` (grid index ``i * n + j`` at
+    ``X[i, j]``) and mapped to
     ``q (q^T X q * inv) q^T`` in the tensor eigenbasis of the 1D stencil:
     four dense ``(n, n)`` products per column, each column its own matmul
     slab, so a column's result does not depend on the rest of the block.
@@ -136,6 +158,9 @@ def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndar
         return lambda r: r
     if kind == PRECONDITIONER_KINETIC_SHIFT:
         grid = op.model.grid
+        if grid.dimension == 1 and grid.boundary == DIRICHLET:
+            d, e = _kinetic_shift_tridiagonal(grid, KINETIC_SHIFT_C0)
+            return lambda r: dpttrs(d, e, r)[0]
         if grid.dimension == 1:
             return _kinetic_shift_factorization(grid, KINETIC_SHIFT_C0).solve
         q, inv = _kinetic_shift_eigenbasis(grid, KINETIC_SHIFT_C0)
@@ -220,7 +245,7 @@ def _pcg(
         measured here in one sparse product. With ``confirm`` the true
         residual replaces the recursive one, and only the columns it
         confirms below the tolerance stop."""
-        nonlocal cols, tols, xs, r, p, rz
+        nonlocal cols, tols, xs, r, p, rz, step
         running = _columns(positions, len(cols))
         if fixed_iters is not None:
             norms = np.sqrt(_column_dots(r, r))[running].tolist()
@@ -242,6 +267,7 @@ def _pcg(
             return False
         cols, tols = [cols[i] for i in keep], [tols[i] for i in keep]
         xs, r, p, rz = xs[:, keep], r[:, keep], p[:, keep], rz[keep]
+        step = step[:, :len(keep)]
         return True
 
     running = _columns(cols, n_cols)
@@ -255,6 +281,7 @@ def _pcg(
     z = apply_m(r)
     p = np.array(z, order="F")
     rz = _column_dots(r, z)
+    step = np.empty_like(xs)  # alpha p, in a buffer that shrinks with the block
     budget = fixed_iters if fixed_iters is not None else max_iters
     k = 0
 
@@ -266,7 +293,7 @@ def _pcg(
         if not all(v > 0.0 for v in pap.tolist()):
             raise OperatorNotSPDError("CG detected non-positive curvature")
         alpha = rz / pap
-        xs += alpha * p
+        xs += np.multiply(alpha, p, out=step)
         ap *= alpha
         r -= ap
         k += 1

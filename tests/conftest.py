@@ -5,6 +5,8 @@ used to check (dense Cholesky solves, stacked saddle-point solves, classical
 Gram-Schmidt, dense eigensolves, double-loop quadrature).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -45,6 +47,12 @@ def make_model(n, length, omega, kappa, n_orbitals, seed=None, shift=0.0, dimens
 
 def reference_solver_config():
     return SolveConfig(rel_tol=1e-8, max_iters=500, preconditioner="kinetic_shift")
+
+
+def truncated(config, fixed_iters):
+    """``config`` stopped after ``fixed_iters`` Krylov steps, as the inexact
+    and DCM directions take it."""
+    return replace(config, fixed_iters=fixed_iters)
 
 
 def dense_inverse(op):
@@ -120,15 +128,13 @@ def force_discards(monkeypatch, discards):
     leads to the exact fallback. Returns the list of (fixed_iters,
     SearchDirection) of every attempt, in call order.
     """
-    from dataclasses import replace
-
     from stiefel_rgd import directions, inner_h
 
     inexact = directions.inexact_gradient
     states, per_state, attempts = [], [], []
 
-    def forced(state, fixed_iters, config):
-        sd = inexact(state, fixed_iters, config)
+    def forced(state, config):
+        sd = inexact(state, config)
         if not states or states[-1] is not state:
             states.append(state)
             per_state.append(0)
@@ -136,7 +142,7 @@ def force_discards(monkeypatch, discards):
         if per_state[-1] <= discards(len(states) - 1):
             if inner_h(state.r, sd.direction) < 0.0:
                 sd = replace(sd, direction=-sd.direction)
-        attempts.append((fixed_iters, sd))
+        attempts.append((config.fixed_iters, sd))
         return sd
 
     monkeypatch.setattr(directions, "inexact_gradient", forced)

@@ -25,6 +25,7 @@ from stiefel_rgd.descent import (
     line_search,
 )
 from stiefel_rgd.directions import compute_direction
+from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
 
@@ -38,6 +39,7 @@ from conftest import (
     make_model,
     poison_solve,
     reference_solver_config,
+    truncated,
 )
 
 # Energy decrements below double-precision evaluation noise cannot be
@@ -180,7 +182,8 @@ class TestLineSearchStep:
         model = make_model(n=48, length=1.0, omega=8.0, kappa=10.0, n_orbitals=2)
         phi = initial_frame(model.grid, 2, 4)
         state = IterateState.at(model, phi, energy(model, phi))
-        sd = compute_direction(state, "exact_grad", reference_solver_config(), 3)
+        sd = compute_direction(state, "exact_grad", reference_solver_config(),
+                               truncated(reference_solver_config(), 3))
         return model, state, sd
 
     def test_untested_trial_takes_gamma_with_one_evaluation(self, monkeypatch):
@@ -198,6 +201,30 @@ class TestLineSearchStep:
         trial = retract(state.phi, 0.3 * sd.direction, POLAR)
         assert np.array_equal(accepted.phi.values, trial.values)
         assert accepted.energy == energy(model, trial)
+
+    def test_each_trial_computes_its_density_once(self, monkeypatch):
+        # The trial's energy and, for the accepted trial, its operator share
+        # one density.
+        import stiefel_rgd.descent as descent
+        import stiefel_rgd.models as models
+
+        model, state, sd = self.setup_step()
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return density(phi)
+
+        for module in (descent, models):
+            monkeypatch.setattr(module, "density", counted)
+        line_search(model, state, sd, 0.3, state.energy, None, POLAR)
+        assert len(calls) == 1
+        calls.clear()
+        params = LineSearchParams(beta=0.5)
+        accepted, _, backtracks = line_search(model, state, sd, 4.0, state.energy,
+                                              params, POLAR)
+        assert backtracks > 0 and len(calls) == backtracks + 1
+        assert calls[-1] is accepted.phi
 
     def test_accepts_first_trial_meeting_armijo(self):
         model, state, sd = self.setup_step()

@@ -45,6 +45,7 @@ from conftest import (
     make_model,
     random_tangent,
     reference_solver_config,
+    truncated,
 )
 
 
@@ -154,7 +155,7 @@ class TestSlopeAlongRetraction:
         state = IterateState.at(model, phi)
         # Not critical: the residual is far above the run's tolerance.
         assert state.res_norm >= 1e-2
-        eta = dcm_direction(state, 3, reference_solver_config()).direction
+        eta = dcm_direction(state, truncated(reference_solver_config(), 3)).direction
         assert is_tangent(phi, eta).skew_defect >= 0.01 * norm_h(eta)
         h = 1e-3
         fd = (energy(model, retract(phi, h * eta, kind))
@@ -378,9 +379,9 @@ class TestRecycledStart:
         model, solves, _ = exact_solves
         state = IterateState.at(model, solves[5][1])
         config = reference_solver_config()
-        assert dcm_direction(state, 3, config).window is None
-        assert inexact_gradient(state, 3, config).window is None
-        sd = safeguarded_inexact_gradient(state, 3, config)
+        assert dcm_direction(state, truncated(config, 3)).window is None
+        assert inexact_gradient(state, truncated(config, 3)).window is None
+        sd = safeguarded_inexact_gradient(state, truncated(config, 3))
         assert sd.kind == INEXACT_GRAD and sd.window is None
 
     def test_window_holds_last_eight_corrections(self, exact_solves):
@@ -440,10 +441,11 @@ class TestRecycledStart:
             return len(products)
 
         window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
+        fixed = truncated(config, 3)
         for state, _, _ in gradients[:12]:
             exact = count(lambda s: riemannian_gradient(s, config, window), state)
-            truncated = count(lambda s: inexact_gradient(s, 3, config), state)
-            assert (exact, truncated) == (2, 1)
+            inexact = count(lambda s: inexact_gradient(s, fixed), state)
+            assert (exact, inexact) == (2, 1)
         assert window.corrections.shape[1] == 8 * model.n_orbitals
 
     def test_window_empty_after_other_directions(self, exact_solves, monkeypatch):
@@ -458,15 +460,16 @@ class TestRecycledStart:
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, solves[6][1])
         before = IterateState.at(model, solves[5][1])
-        for previous in (dcm_direction(before, 3, config), inexact_gradient(before, 3, config)):
+        for previous in (dcm_direction(before, truncated(config, 3)),
+                         inexact_gradient(before, truncated(config, 3))):
             assert previous.window is None
             starts.clear()
-            compute_direction(state, EXACT_GRAD, config, 3, previous)
+            compute_direction(state, EXACT_GRAD, config, truncated(config, 3), previous)
             assert starts == [state.multiplier_warm_start]
         # An exact gradient's window does reach the next start.
-        previous = compute_direction(before, EXACT_GRAD, config, 3)
+        previous = compute_direction(before, EXACT_GRAD, config, truncated(config, 3))
         starts.clear()
-        compute_direction(state, EXACT_GRAD, config, 3, previous)
+        compute_direction(state, EXACT_GRAD, config, truncated(config, 3), previous)
         assert starts[0] is not state.multiplier_warm_start
 
 
@@ -498,7 +501,7 @@ class TestInexactGradient:
         phi, _ = retract_qr_mgs(random_frame(model.grid, 2, rng))
         state = IterateState.at(model, phi)
         exact = riemannian_gradient(state, SolveConfig(rel_tol=1e-13, max_iters=500))
-        inexact = inexact_gradient(state, model.grid.n_dof, SolveConfig())
+        inexact = inexact_gradient(state, SolveConfig(fixed_iters=model.grid.n_dof))
         assert norm_h(inexact.direction - exact.direction) <= 1e-8
 
     def test_convergence_toward_exact_with_budget(self, model, phi):
@@ -506,7 +509,7 @@ class TestInexactGradient:
         exact = riemannian_gradient(state, DIRECT)
         gaps = [
             norm_h(
-                inexact_gradient(state, k, reference_solver_config()).direction
+                inexact_gradient(state, truncated(reference_solver_config(), k)).direction
                 - exact.direction
             )
             for k in (2, 8, 32)
@@ -522,8 +525,8 @@ class TestInexactGradient:
             state, SolveConfig(rel_tol=1e-13, max_iters=2000,
                                preconditioner="kinetic_shift"),
         )
-        truncated = inexact_gradient(state, 200, reference_solver_config())
-        assert norm_h(truncated.direction - exact.direction) <= 1e-6
+        inexact = inexact_gradient(state, truncated(reference_solver_config(), 200))
+        assert norm_h(inexact.direction - exact.direction) <= 1e-6
 
     def test_descent_on_converging_run(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
@@ -540,7 +543,7 @@ class TestInexactGradient:
         assert run.converged
         for frame in run.frames[:-1]:
             state = IterateState.at(model, frame)
-            sd = safeguarded_inexact_gradient(state, 3, reference_solver_config())
+            sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3))
             # The slope of E(R(frame, tau eta)) at tau = 0.
             assert inner_h(state.r, sd.direction) < 0.0
 
@@ -566,7 +569,8 @@ class TestDcmDirection:
     def test_vanishes_at_critical_point(self):
         model = make_model(n=48, length=1.0, omega=6.0, kappa=0.0, n_orbitals=3)
         _, modes = dense_lowest_eigenpairs(model, 3)
-        sd = dcm_direction(IterateState.at(model, modes), 3, reference_solver_config())
+        sd = dcm_direction(IterateState.at(model, modes),
+                           truncated(reference_solver_config(), 3))
         assert norm_h(sd.direction) <= 1e-9
 
     def test_residual_orthogonal_to_frame(self, model, phi):
@@ -606,7 +610,7 @@ class TestSafeguard:
     def test_returns_exact_kind_when_doublings_exhausted(self, model, phi, monkeypatch):
         attempts = force_discards(monkeypatch, lambda k: 3)
         sd = safeguarded_inexact_gradient(
-            IterateState.at(model, phi), 3, reference_solver_config(), max_doublings=2
+            IterateState.at(model, phi), truncated(reference_solver_config(), 3), max_doublings=2
         )
         assert sd.kind == EXACT_GRAD
         # The next direction is inexact again, so the fallback keeps no window.
@@ -632,7 +636,8 @@ class TestSafeguard:
         monkeypatch.setattr(directions, "CorrectionWindow", counted_window)
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, phi)
-        sd = safeguarded_inexact_gradient(state, 3, reference_solver_config(), max_doublings=2)
+        sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3),
+                                          max_doublings=2)
         assert sd.kind == EXACT_GRAD
         assert sd.window is None
         assert built == []
@@ -652,7 +657,7 @@ class TestSafeguard:
 
                 patch.setattr(directions, "riemannian_gradient", recording_exact)
                 sd = safeguarded_inexact_gradient(
-                    IterateState.at(model, phi), 3, reference_solver_config(),
+                    IterateState.at(model, phi), truncated(reference_solver_config(), 3),
                     max_doublings=2,
                 )
             assert len(attempts) == min(discards + 1, 3)

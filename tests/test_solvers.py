@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrs
 
 from stiefel_rgd import (
     ConvergenceError,
@@ -413,9 +414,11 @@ class TestPreconditioners:
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("n_cols", [1, 4])
     @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
-    def test_kinetic_shift_is_exact_inverse_2d(self, rng, boundary, n_cols, order):
-        model = make_model(n=24, length=1.0, omega=10.0, kappa=100.0, n_orbitals=n_cols,
-                           dimension=2, boundary=boundary)
+    @pytest.mark.parametrize("dimension, points", [(1, 128), (2, 24)])
+    def test_kinetic_shift_is_exact_inverse(self, rng, dimension, points, boundary, n_cols,
+                                            order):
+        model = make_model(n=points, length=1.0, omega=10.0, kappa=100.0, n_orbitals=n_cols,
+                           dimension=dimension, boundary=boundary)
         grid = model.grid
         op = DiscreteOperatorA.at(model, random_frame(grid, n_cols, rng))
         apply_m = solvers._preconditioner_apply("kinetic_shift", op)
@@ -430,10 +433,10 @@ class TestPreconditioners:
         lhs, rhs = np.dot(u, apply_m(v)), np.dot(apply_m(u), v)
         assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(apply_m(v))
 
-    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
-    def test_kinetic_shift_is_superlu_solve_1d(self, rng, boundary):
+    def test_kinetic_shift_is_superlu_solve_1d_periodic(self, rng):
+        # The cyclic stencil is not tridiagonal, so SuperLU keeps it.
         model = make_model(n=64, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4,
-                           boundary=boundary)
+                           boundary=PERIODIC)
         grid = model.grid
         op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
         apply_m = solvers._preconditioner_apply("kinetic_shift", op)
@@ -441,6 +444,26 @@ class TestPreconditioners:
         r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
         assert np.array_equal(apply_m(r), lu.solve(r))
         assert np.array_equal(apply_m(r[:, 0]), lu.solve(r[:, 0]))
+
+    def test_kinetic_shift_is_pttrs_solve_1d_dirichlet(self, rng):
+        model = make_model(n=64, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        d, e = solvers._kinetic_shift_tridiagonal(grid, solvers.KINETIC_SHIFT_C0)
+        assert not d.flags.writeable and not e.flags.writeable
+        # The cached factors are those of laplacian + I: L D L^T with L
+        # unit lower bidiagonal.
+        unit_l = np.eye(grid.n_dof) + np.diag(e, -1)
+        shifted = (laplacian(grid) + sp.identity(grid.n_dof)).toarray()
+        assert np.abs(unit_l @ np.diag(d) @ unit_l.T - shifted).max() <= 1e-13 * shifted.max()
+        r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
+        out = apply_m(r)
+        assert out.flags.f_contiguous
+        assert np.array_equal(out, dpttrs(d, e, r)[0])
+        assert np.array_equal(apply_m(r[:, 0]), dpttrs(d, e, r[:, 0])[0])
+        # One column of the block is that column solved alone.
+        assert np.array_equal(apply_m(r[:, 2]), out[:, 2])
 
     def test_kinetic_shift_reduces_iterations(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
