@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .directions import EXACT_GRAD, SearchDirection, compute_direction
+from .directions import EXACT_GRAD, CorrectionWindow, SearchDirection, compute_direction
 from .errors import NumericalError
 from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
@@ -188,8 +188,11 @@ def _descend(
     IterationRecord per visited iterate, with the step and backtracks that
     left it. ``config`` is the exact gradient's tolerance-mode solver
     config; the inexact and DCM directions run it truncated at
-    ``fixed_iters`` steps, a config built once here. With a fixed step the
-    reference pair stays (c_n, q_n) = (E_n, 1); otherwise it follows
+    ``fixed_iters`` steps, a config built once here. An exact-gradient run
+    also builds here the one ``CorrectionWindow`` that every exact gradient
+    projects its start onto and pushes its correction into; the other kinds
+    get none. With a fixed step the reference pair stays
+    (c_n, q_n) = (E_n, 1); otherwise it follows
     ``nonmonotone_update``. A failed line search ends the run and its
     LineSearchFailure is kept on the result.
     """
@@ -199,6 +202,8 @@ def _descend(
     frames: Optional[List[Frame]] = [] if log_frames else None
     directions: Optional[List[Frame]] = [] if log_frames else None
     truncated = replace(config, fixed_iters=fixed_iters)
+    window = (CorrectionWindow(phi0.grid.n_dof, phi0.n_orbitals)
+              if direction_kind == EXACT_GRAD else None)
     rho = density(phi0)
     state = IterateState.at(model, phi0, energy(model, phi0, rho), rho)
     prev_phi: Optional[Frame] = None
@@ -211,7 +216,7 @@ def _descend(
             frames.append(state.phi)
         grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
         try:
-            sd = compute_direction(state, direction_kind, config, truncated, prev_eta)
+            sd = compute_direction(state, direction_kind, config, truncated, window)
         except NumericalError:
             termination = TERMINATION_DEGENERATE
         else:

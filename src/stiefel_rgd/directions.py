@@ -33,17 +33,18 @@ class CorrectionWindow:
     Galerkin matrix G = V^T A V for the operator A whose diagonal is
     ``diagonal``.
 
-    A window is handed from one exact gradient to the next, which updates
-    it in place; it always holds valid corrections with their G. Between
-    iterates the anchored operator changes on its diagonal only
-    (potential + kappa rho + shift on a fixed stencil), so ``move_to``
-    brings G to another iterate's operator without a sparse product:
-    G_n = G_{n-1} + V^T diag(d_n - d_{n-1}) V. ``push`` writes a new
-    correction over the oldest one once the window is full and fills its
-    rows and columns of G from V^T (A E), so an entry of G is moved at most
-    WINDOW - 1 times before it is written afresh, and the round-off it
-    gathers stays bounded. The columns are in ring order, not in age
-    order. V is allocated once and F-ordered, so every column is contiguous.
+    A descent run with the exact gradient builds one window and hands it to
+    every exact gradient, which updates it in place; it always holds valid
+    corrections with their G. Between iterates the anchored operator
+    changes on its diagonal only (potential + kappa rho + shift on a fixed
+    stencil), so ``move_to`` brings G to another iterate's operator without
+    a sparse product: G_n = G_{n-1} + V^T diag(d_n - d_{n-1}) V. ``push``
+    writes a new correction over the oldest one once the window is full and
+    fills its rows and columns of G from V^T (A E), so an entry of G is
+    moved at most WINDOW - 1 times before it is written afresh, and the
+    round-off it gathers stays bounded. The columns are in ring order, not
+    in age order. V is allocated once and F-ordered, so every column is
+    contiguous.
     """
 
     def __init__(self, n_dof: int, n_orbitals: int):
@@ -94,22 +95,15 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SearchDirection:
-    """A direction at one iterate, with what the next iterate reuses.
-
-    An exact gradient carries the ``window`` of corrections of the last
-    ``WINDOW`` exact solves, its own included, with their Galerkin matrix at
-    its iterate's operator. The next exact gradient, given this direction as
-    ``previous``, takes the window over and updates it in place. Truncated
-    solves, DCM and the exact fallback of the inexact safeguard carry no
-    window (None), so an exact solve after them starts from
-    phi Lambda^{-1}.
-    """
+    """A direction at one iterate: the direction itself, its energy product,
+    the inner Krylov effort it took and its kind. It carries no state to the
+    next iterate; the exact gradient's window of corrections belongs to the
+    descent run (``CorrectionWindow``)."""
 
     direction: Frame
     gram_of_direction: float  # shifted-form energy product of the direction
     inner_effort: int  # total inner Krylov iterations spent
     kind: str
-    window: Optional[CorrectionWindow] = None
 
 
 def _gradient(
@@ -122,8 +116,7 @@ def _gradient(
     Cholesky factorization (``models.spd_inverse``) and mixes X in one
     matrix product. A G that is not numerically positive definite raises
     DegenerateFrameError, with a hint to raise the budget when the solve
-    was truncated (``config.fixed_iters``). The direction carries no
-    window."""
+    was truncated (``config.fixed_iters``)."""
     x, report = solve(state.op, state.phi, config, warm_start=recycled_start(state, window))
     gram_inverse = spd_inverse(
         outer_product(state.phi, x),
@@ -195,16 +188,14 @@ def riemannian_gradient(
     corrections, the start adds the Galerkin projection onto it (see
     ``recycled_start``): consecutive corrections are close, so CG has less
     left to find. This solve's correction X - phi Lambda^{-1} is then
-    pushed into the window, at one sparse product, and the result carries
-    it. Without a window the result carries none.
+    pushed into the window, at one sparse product. Without a window the
+    solve starts from phi Lambda^{-1} and no correction is kept.
     """
     if config.fixed_iters is not None:
         raise ValueError("the exact gradient requires a tolerance-mode solver config")
     sd, x = _gradient(state, config, EXACT_GRAD, window)
-    if window is None:
-        return sd
-    window.push(x.values - state.multiplier_warm_start.values, state.op)
-    sd.window = window
+    if window is not None:
+        window.push(x.values - state.multiplier_warm_start.values, state.op)
     return sd
 
 
@@ -257,7 +248,7 @@ def safeguarded_inexact_gradient(
     non-negative, the inner iteration count is doubled (up to
     ``max_doublings`` times); as a last resort the exact gradient is used,
     with ``config`` in tolerance mode, started from phi Lambda^{-1} and
-    without a window: the next direction is inexact again and would not
+    given no window: the next direction is inexact again and would not
     read one. Effort of discarded attempts counts toward the returned
     direction.
     """
@@ -278,23 +269,18 @@ def compute_direction(
     kind: str,
     config: SolveConfig,
     truncated: SolveConfig,
-    previous: Optional[SearchDirection] = None,
+    window: Optional[CorrectionWindow] = None,
 ) -> SearchDirection:
     """The search direction of kind ``kind`` at the evaluated iterate ``state``.
 
     The exact gradient solves with the tolerance-mode ``config``; the
     inexact gradient and DCM with ``truncated``, its fixed-iteration
-    counterpart, which the descent driver builds once per run.
-    ``previous`` is the direction taken from the previous iterate; only the
-    exact gradient reads it, to project its start onto the window of
-    corrections ``previous`` carries and push its own correction into it.
-    Every other kind carries no window, so an exact gradient after it
-    starts a new, empty window and its solve starts from phi Lambda^{-1}.
+    counterpart, which the descent driver builds once per run. Only the
+    exact gradient reads ``window``, the run's window of corrections: it
+    projects its start onto it and pushes its own correction into it.
+    Given no window, its solve starts from phi Lambda^{-1}.
     """
     if kind == EXACT_GRAD:
-        window = previous.window if previous is not None else None
-        if window is None:
-            window = CorrectionWindow(state.phi.grid.n_dof, state.phi.n_orbitals)
         return riemannian_gradient(state, config, window)
     if kind == INEXACT_GRAD:
         return safeguarded_inexact_gradient(state, truncated)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,13 +97,7 @@ class _OperatorPattern(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _operator_pattern(grid: GridSpec) -> _OperatorPattern:
-    """The stencil on the pattern of ``laplacian(grid) + I``.
-
-    Adding a diagonal to ``stencil.data`` in the ``diagonal_slots`` gives the
-    same ``indptr``, ``indices`` and ``data`` as the sparse sum
-    ``laplacian(grid) + sp.diags(diagonal)``, because the stencil diagonal is
-    nonzero and every entry is one floating-point addition either way.
-    """
+    """The stencil on the pattern of ``laplacian(grid) + I``, read-only."""
     lap = laplacian(grid)
     stencil = lap + sp.identity(grid.n_dof, format="csr")
     rows = np.repeat(np.arange(grid.n_dof), np.diff(stencil.indptr))
@@ -112,6 +106,28 @@ def _operator_pattern(grid: GridSpec) -> _OperatorPattern:
     for array in (stencil.indptr, stencil.indices, stencil.data, slots):
         array.setflags(write=False)
     return _OperatorPattern(stencil, slots)
+
+
+def stencil_plus(grid: GridSpec, diagonal) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """``laplacian(grid) + diag(diagonal)`` for a vector or scalar
+    ``diagonal``, and a copy of its diagonal entries.
+
+    The one way a diagonal is put on the stencil: a copy of the data of the
+    grid's cached pattern, with ``diagonal`` added in its diagonal slots.
+    The matrix shares the pattern's read-only index arrays, so callers must
+    not modify it. Its ``indptr``, ``indices`` and ``data`` equal those of
+    the sparse sum ``laplacian(grid) + sp.diags(diagonal)``, every entry
+    being one floating-point addition either way, except where a diagonal
+    entry cancels exactly: the fill keeps an explicit zero there, which
+    the sparse sum drops. Products and dense forms do not change even
+    then, because a CSR row sum starts at +0 and adding 0 x to it never
+    changes a bit (x finite).
+    """
+    pattern = _operator_pattern(grid)
+    matrix = copy.copy(pattern.stencil)  # shares the pattern's read-only index arrays
+    matrix.data = pattern.stencil.data.copy()
+    matrix.data[pattern.diagonal_slots] += diagonal
+    return matrix, matrix.data[pattern.diagonal_slots]
 
 
 def potential_zero(grid: GridSpec) -> np.ndarray:
@@ -190,7 +206,7 @@ class EnergyModel:
 
     @cached_property
     def _linear_part(self) -> sp.csr_matrix:
-        return laplacian(self.grid) + sp.diags(self.potential, format="csr")
+        return stencil_plus(self.grid, self.potential)[0]
 
 
 def linear_part_matrix(model: EnergyModel) -> sp.csr_matrix:
@@ -205,7 +221,7 @@ def linear_part_matrix(model: EnergyModel) -> sp.csr_matrix:
 def validate_coercivity(model: EnergyModel) -> None:
     """Check that the shifted quadratic form is positive definite, at any size.
 
-    Factors M = L + diag(V) + shift * I once by sparse LU with a symmetric
+    Factors M = L + diag(V + shift) once by sparse LU with a symmetric
     fill-reducing ordering and diagonal pivots only, which for symmetric M
     is an LDL^T factorization: M is positive definite exactly when every
     pivot stayed on the diagonal and is positive (Sylvester's law of
@@ -215,7 +231,7 @@ def validate_coercivity(model: EnergyModel) -> None:
     example is the periodic stencil with zero potential, whose constant
     vector is a null vector, so such a problem needs shift > 0.
     """
-    mat = (linear_part_matrix(model) + model.shift * sp.identity(model.grid.n_dof)).tocsc()
+    mat = stencil_plus(model.grid, model.potential + model.shift)[0].tocsc()
     floor = 10.0 * model.grid.n_dof * np.finfo(np.float64).eps * np.abs(mat.diagonal()).max()
     try:
         factor = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -286,13 +302,8 @@ class DiscreteOperatorA:
             raise ShapeError("anchor frame lives on a different grid")
         if rho is None:
             rho = density(phi)
-        pattern = _operator_pattern(model.grid)
-        data = pattern.stencil.data.copy()
-        data[pattern.diagonal_slots] += model.potential + model.gamma(rho) + model.shift
-        # A shallow copy shares the read-only index arrays of the pattern.
-        matrix = copy.copy(pattern.stencil)
-        matrix.data = data
-        return cls(model=model, matrix=matrix, diagonal=data[pattern.diagonal_slots])
+        return cls(model, *stencil_plus(
+            model.grid, model.potential + model.gamma(rho) + model.shift))
 
     def apply(self, v: Frame) -> Frame:
         """H-representative of the shifted form applied to each orbital."""

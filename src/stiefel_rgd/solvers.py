@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
 from .frames import DIRICHLET, Frame, GridSpec, same_grid
-from .models import DiscreteOperatorA, csr_product, dpttrf, dpttrs, laplacian
+from .models import DiscreteOperatorA, csr_product, dpttrf, dpttrs, laplacian, stencil_plus
 
 PRECONDITIONER_NONE = "none"
 PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
@@ -102,7 +102,7 @@ class SolveReport:
 @lru_cache(maxsize=None)
 def _kinetic_shift_factorization(grid: GridSpec, c0: float):
     """Sparse LU of ``laplacian(grid) + c0 I`` on a periodic 1D grid."""
-    mat = (laplacian(grid) + c0 * sp.identity(grid.n_dof)).tocsc()
+    mat = stencil_plus(grid, c0)[0].tocsc()
     return spla.splu(mat)
 
 

@@ -24,7 +24,8 @@ from stiefel_rgd.descent import (
     bb_trial_step,
     line_search,
 )
-from stiefel_rgd.directions import compute_direction
+from stiefel_rgd import descent
+from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD, compute_direction
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
@@ -640,6 +641,74 @@ class TestRecycledExactSolves:
         # correction alone, 63973 in 1308 from phi Lambda^{-1}.
         assert run.total_inner_iterations <= 0.5 * 35045
         assert run.iterations <= 1299
+
+
+class TestCorrectionWindowOwnership:
+    """The descent run owns the exact gradient's window of corrections: an
+    exact-gradient run builds one before its loop and hands that one to every
+    direction; runs of the other kinds build none."""
+
+    @pytest.mark.parametrize("method,built_windows", [
+        ("rgd_fixed", 1), ("rgd_ls", 1), ("rgd_ls_inexact", 0), ("dcm", 0)])
+    def test_windows_built_per_run(self, method, built_windows, monkeypatch):
+        built, given = [], []
+        window_class, compute = descent.CorrectionWindow, descent.compute_direction
+
+        def counted_window(*args):
+            built.append(window_class(*args))
+            return built[-1]
+
+        def recording_compute(state, kind, config, truncated, window=None):
+            given.append(window)
+            return compute(state, kind, config, truncated, window)
+
+        monkeypatch.setattr(descent, "CorrectionWindow", counted_window)
+        monkeypatch.setattr(descent, "compute_direction", recording_compute)
+        model = make_model(n=48, length=1.0, omega=8.0, kappa=10.0, n_orbitals=2)
+        phi0 = initial_frame(model.grid, 2, 5)
+        config = reference_solver_config()
+        if method == "rgd_fixed":
+            run = rgd_fixed_step(model, phi0, FIXED_TAU, max_iter=6, solver_config=config)
+        else:
+            kind = {"rgd_ls": EXACT_GRAD, "rgd_ls_inexact": INEXACT_GRAD, "dcm": DCM}[method]
+            run = rgd_line_search(model, phi0, direction_kind=kind, max_iter=6,
+                                  solver_config=config)
+        assert run.iterations == 6
+        assert len(built) == built_windows
+        assert given == (built or [None]) * len(run.history)
+        if built:
+            # Every exact gradient pushed its correction: the window is full
+            # after the eight solves of a longer run, here it holds seven.
+            assert len(built[0]) == len(run.history) * model.n_orbitals
+
+
+class TestMeshIndependence:
+    """The energy-adaptive metric makes the outer iteration count of exact
+    ``rgd_ls`` and of ``dcm`` (whose kinetic-shift preconditioner plays the
+    same part) independent of the grid, as the paper claims. On the 1D N=3
+    kappa=10 trap every run from frames 1000-1002 and 2000-2001 took 30-51
+    outer iterations at n = 128, 512 and 2048. A metric that lost this
+    property would see the condition number of the Laplacian, which grows
+    256-fold from n = 128 to 2048, so the bounds below leave room for other
+    start frames and still catch it: every run reaches ``residual_tol``
+    within 80 iterations, and per method the slowest run at n = 2048 takes
+    at most 1.5 times the slowest at n = 128."""
+
+    @pytest.mark.parametrize("kind", [EXACT_GRAD, DCM])
+    def test_outer_iterations_bounded_across_grids(self, kind):
+        slowest = {}
+        for n in (128, 512, 2048):
+            model = make_model(n=n, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+            counts = []
+            for frame in (1000, 1001, 1002):
+                run = rgd_line_search(model, initial_frame(model.grid, 3, frame),
+                                      direction_kind=kind, tol=1e-6, max_iter=2000,
+                                      solver_config=reference_solver_config())
+                assert run.termination == TERMINATION_RESIDUAL
+                counts.append(run.iterations)
+            assert max(counts) <= 80
+            slowest[n] = max(counts)
+        assert slowest[2048] <= 1.5 * slowest[128]
 
 
 class TestNonFiniteValues:

@@ -1,5 +1,7 @@
 """Exact/inexact gradients, the DCM direction, and their structural identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -24,12 +26,13 @@ from stiefel_rgd import (
     safeguarded_inexact_gradient,
     solve,
 )
-from stiefel_rgd import directions, models
+from stiefel_rgd import descent, directions, models
 from stiefel_rgd.directions import (
     DCM,
     EXACT_GRAD,
     INEXACT_GRAD,
     CorrectionWindow,
+    SearchDirection,
     compute_direction,
     recycled_start,
 )
@@ -295,10 +298,10 @@ class TestMixesAgreeWithSolves:
 def exact_solves(request):
     """Every solve of the first 30 iterates from start frame 1000, as
     (operator, right-hand side phi, start), and every exact gradient as
-    (state, V, G) with copies of its window right after it: exact rgd_ls
-    or rgd_fixed on the 1D n=128 N=3 reference problem, or exact rgd_ls on
-    2D 32^2 with four orbitals. Fixed steps make the most nearly dependent
-    windows."""
+    (state, V, G) with copies of the window it was given, read right after
+    it: exact rgd_ls or rgd_fixed on the 1D n=128 N=3 reference problem, or
+    exact rgd_ls on 2D 32^2 with four orbitals. Fixed steps make the most
+    nearly dependent windows."""
     if request.param == "2d":
         model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
                            dimension=2)
@@ -313,8 +316,8 @@ def exact_solves(request):
 
     def recording_gradient(state, config, window=None):
         sd = exact(state, config, window)
-        assert sd.window.diagonal is state.op.diagonal
-        gradients.append((state, sd.window.corrections.copy(), sd.window.gram.copy()))
+        assert window.diagonal is state.op.diagonal
+        gradients.append((state, window.corrections.copy(), window.gram.copy()))
         return sd
 
     with pytest.MonkeyPatch.context() as patch:
@@ -333,9 +336,9 @@ def exact_solves(request):
 
 class TestRecycledStart:
     """From the second iterate on, the exact solve starts from phi Lambda^{-1}
-    plus the Galerkin projection onto a window of the corrections of the
-    last eight exact solves; truncated solves, DCM and the safeguard's
-    exact fallback carry no window."""
+    plus the Galerkin projection onto the run's window of the corrections
+    of the last eight exact solves; truncated solves, DCM and the
+    safeguard's exact fallback neither read nor fill a window."""
 
     def test_error_never_above_multiplier_guess(self, exact_solves):
         model, solves, _ = exact_solves
@@ -369,20 +372,37 @@ class TestRecycledStart:
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, solves[5][1])
         window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
-        sd = riemannian_gradient(state, reference_solver_config(), window)
+        riemannian_gradient(state, reference_solver_config(), window)
         (x,) = solutions
         # Given an empty window, the window holds this correction alone.
         np.testing.assert_array_equal(
-            sd.window.corrections, x.values - state.multiplier_warm_start.values)
+            window.corrections, x.values - state.multiplier_warm_start.values)
 
-    def test_truncated_directions_carry_no_correction(self, exact_solves):
+    def test_truncated_directions_carry_no_correction(self, exact_solves, monkeypatch):
+        # A direction is a plain record, and the truncated kinds neither
+        # read nor fill a window handed to ``compute_direction``: their
+        # solves start from phi Lambda^{-1} and the window stays as it was.
         model, solves, _ = exact_solves
+        assert [f.name for f in dataclasses.fields(SearchDirection)] == [
+            "direction", "gram_of_direction", "inner_effort", "kind"]
         state = IterateState.at(model, solves[5][1])
         config = reference_solver_config()
-        assert dcm_direction(state, truncated(config, 3)).window is None
-        assert inexact_gradient(state, truncated(config, 3)).window is None
-        sd = safeguarded_inexact_gradient(state, truncated(config, 3))
-        assert sd.kind == INEXACT_GRAD and sd.window is None
+        window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
+        riemannian_gradient(IterateState.at(model, solves[4][1]), config, window)
+        held, gram = window.corrections.copy(), window.gram.copy()
+        starts = []
+
+        def recording_solve(op, b, config, warm_start=None):
+            starts.append(warm_start)
+            return solve(op, b, config, warm_start=warm_start)
+
+        monkeypatch.setattr(directions, "solve", recording_solve)
+        for kind, guess in ((DCM, None), (INEXACT_GRAD, state.multiplier_warm_start)):
+            starts.clear()
+            sd = compute_direction(state, kind, config, truncated(config, 3), window)
+            assert sd.kind == kind and starts == [guess]
+            np.testing.assert_array_equal(window.corrections, held)
+            np.testing.assert_array_equal(window.gram, gram)
 
     def test_window_holds_last_eight_corrections(self, exact_solves):
         # Solve k writes its correction over slot k mod 8 and leaves the
@@ -460,16 +480,18 @@ class TestRecycledStart:
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, solves[6][1])
         before = IterateState.at(model, solves[5][1])
-        for previous in (dcm_direction(before, truncated(config, 3)),
-                         inexact_gradient(before, truncated(config, 3))):
-            assert previous.window is None
+        # Given no window, as after the other kinds of direction, an exact
+        # gradient starts from phi Lambda^{-1}, also after an exact one.
+        for kind in (DCM, INEXACT_GRAD, EXACT_GRAD):
+            compute_direction(before, kind, config, truncated(config, 3))
             starts.clear()
-            compute_direction(state, EXACT_GRAD, config, truncated(config, 3), previous)
+            compute_direction(state, EXACT_GRAD, config, truncated(config, 3))
             assert starts == [state.multiplier_warm_start]
-        # An exact gradient's window does reach the next start.
-        previous = compute_direction(before, EXACT_GRAD, config, truncated(config, 3))
+        # The window an exact gradient filled does reach the next start.
+        window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
+        compute_direction(before, EXACT_GRAD, config, truncated(config, 3), window)
         starts.clear()
-        compute_direction(state, EXACT_GRAD, config, truncated(config, 3), previous)
+        compute_direction(state, EXACT_GRAD, config, truncated(config, 3), window)
         assert starts[0] is not state.multiplier_warm_start
 
 
@@ -609,21 +631,31 @@ class TestDcmDirection:
 class TestSafeguard:
     def test_returns_exact_kind_when_doublings_exhausted(self, model, phi, monkeypatch):
         attempts = force_discards(monkeypatch, lambda k: 3)
+        windows = []
+        exact = directions.riemannian_gradient
+
+        def recording_exact(state, config, window=None):
+            windows.append(window)
+            return exact(state, config, window)
+
+        monkeypatch.setattr(directions, "riemannian_gradient", recording_exact)
         sd = safeguarded_inexact_gradient(
             IterateState.at(model, phi), truncated(reference_solver_config(), 3), max_doublings=2
         )
         assert sd.kind == EXACT_GRAD
-        # The next direction is inexact again, so the fallback keeps no window.
-        assert sd.window is None
+        # The next direction is inexact again, so the fallback is given no window.
+        assert windows == [None]
         # Every attempt ran, each with twice the budget of the one before.
         assert [iters for iters, _ in attempts] == [3, 6, 12]
 
     def test_fallback_builds_no_window(self, model, phi, monkeypatch):
-        # No direction reads the fallback's window, so none is allocated and
-        # no sparse product is spent on one; its solve starts from the guess.
-        force_discards(monkeypatch, lambda k: 3)
-        built, starts = [], []
-        routed = directions.solve
+        # No direction reads the fallback's correction, so no window is
+        # allocated for it and no sparse product is spent on one; its solve
+        # starts from the guess. Only the descent driver builds windows.
+        discards = [3]
+        force_discards(monkeypatch, lambda k: discards[0])
+        built, starts, windows = [], [], []
+        routed, exact = directions.solve, directions.riemannian_gradient
 
         def counted_window(*args):
             built.append(args)
@@ -633,15 +665,25 @@ class TestSafeguard:
             starts.append(warm_start)
             return routed(op, b, config, warm_start=warm_start)
 
-        monkeypatch.setattr(directions, "CorrectionWindow", counted_window)
+        monkeypatch.setattr(descent, "CorrectionWindow", counted_window)
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, phi)
         sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3),
                                           max_doublings=2)
         assert sd.kind == EXACT_GRAD
-        assert sd.window is None
-        assert built == []
         assert starts[-1] is state.multiplier_warm_start
+        # Through the driver too: an inexact run whose every direction is
+        # the exact fallback builds none and hands none to the fallback.
+        def recording_exact(state, config, window=None):
+            windows.append(window)
+            return exact(state, config, window)
+
+        monkeypatch.setattr(directions, "riemannian_gradient", recording_exact)
+        discards[0] = 5
+        run = rgd_line_search(model, phi, direction_kind=INEXACT_GRAD, max_iter=2,
+                              solver_config=reference_solver_config())
+        assert run.iterations == 2 and built == []
+        assert windows == [None] * 3
 
     def test_accumulates_effort(self, model, phi):
         # Accepted after 0, 1 or 2 discards, or exact after all 3 attempts.

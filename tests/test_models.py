@@ -30,6 +30,7 @@ from stiefel_rgd.models import (
     linear_part_matrix,
     _identity,
     spd_inverse,
+    stencil_plus,
     validate_coercivity,
 )
 
@@ -227,6 +228,37 @@ class TestOperator:
         assert np.array_equal(op.matrix.indptr, assembled.indptr)
         assert np.array_equal(op.matrix.indices, assembled.indices)
         assert np.array_equal(op.matrix.data, assembled.data)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_stencil_plus_equals_sparse_sum(self, dimension, boundary, n, rng):
+        # The linear part and the kinetic-shift matrix put their diagonal on
+        # the stencil by the same fill as the anchored operator; it stores
+        # what the sparse sum stores.
+        grid = GridSpec(dimension, n, 1.0, boundary)
+        lap = laplacian(grid)
+
+        def assert_same_csr(matrix, expected):
+            assert np.array_equal(matrix.indptr, expected.indptr)
+            assert np.array_equal(matrix.indices, expected.indices)
+            assert matrix.data.tobytes() == expected.data.tobytes()
+
+        for potential in (potential_harmonic(grid, 7.0), potential_zero(grid),
+                          potential_well(grid, depth=-30.0, width=0.5)):
+            assert_same_csr(linear_part_matrix(EnergyModel(grid, potential)),
+                            lap + sp.diags(potential, format="csr"))
+        matrix, diagonal = stencil_plus(grid, 1.0)
+        assert_same_csr(matrix, (lap + sp.identity(grid.n_dof)).tocsr())
+        assert np.array_equal(diagonal, lap.diagonal() + 1.0)
+        # A diagonal that cancels exactly stays an explicit zero, which the
+        # sparse sum drops; the dense form and products do not change.
+        cancelled, diagonal = stencil_plus(grid, -lap.diagonal())
+        summed = lap + sp.diags(-lap.diagonal(), format="csr")
+        assert not diagonal.any() and cancelled.nnz == summed.nnz + grid.n_dof
+        assert cancelled.toarray().tobytes() == summed.toarray().tobytes()
+        block = rng.standard_normal((grid.n_dof, 3))
+        assert (cancelled @ block).tobytes() == (summed @ block).tobytes()
 
     @pytest.mark.parametrize("dimension, boundary", [(1, "dirichlet_zero"),
                                                      (2, "dirichlet_zero"), (1, "periodic"),
