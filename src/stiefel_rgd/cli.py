@@ -30,7 +30,7 @@ from .descent import (
 from .directions import DCM, EXACT_GRAD, INEXACT_GRAD
 from .errors import ConfigError, NumericalError
 from .frames import DIRICHLET, GridSpec, PERIODIC
-from .geometry import RETRACTION_KINDS, POLAR
+from .geometry import RETRACTION_KINDS
 from .models import (
     EnergyModel,
     linear_part_matrix,
@@ -43,7 +43,6 @@ from .models import (
 from .solvers import SolveConfig
 
 METHOD_NAMES = ("rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm")
-SOLVER_METHOD = "krylov_cg"  # the one value 'solver.method' accepts
 ORACLE_LIMIT = 8192  # largest n_dof the oracle's dense eigensolve accepts
 
 EXIT_OK = 0
@@ -60,11 +59,12 @@ CSV_HEADER = (
 
 
 # One table per config section, read by ``_read``: each key maps to its
-# default, or to its type when the key is required.
+# default, to its type when the key is required, or to the tuple of the
+# values it accepts, the first of them its default.
 SECTIONS = {"model": None, "methods": None, "solver": None, "output": None}
 MODEL = {
-    "type": "coupled", "dimension": 1, "grid_points": int, "domain_length": 1.0,
-    "boundary": DIRICHLET, "potential": None, "kappa": 0.0, "sigma": 0.0,
+    "type": ("coupled", "gpe"), "dimension": 1, "grid_points": int, "domain_length": 1.0,
+    "boundary": (DIRICHLET, PERIODIC), "potential": None, "kappa": 0.0, "sigma": 0.0,
     "n_orbitals": 1, "seed": 0,
 }
 POTENTIALS = {  # the keys of 'model.potential' besides 'kind', per kind
@@ -74,12 +74,12 @@ POTENTIALS = {  # the keys of 'model.potential' besides 'kind', per kind
     "file": {"path": str},
 }
 METHOD = {
-    "name": str, "retraction": POLAR, "tau": 0.1, "fixed_iters": 3, "tol": 1e-6,
+    "name": str, "retraction": RETRACTION_KINDS, "tau": 0.1, "fixed_iters": 3, "tol": 1e-6,
     "max_iter": 2000,
     **{f.name: f.default for f in dataclasses.fields(LineSearchParams)},
 }
 SOLVER = {  # 'fixed_iters' is set by each method, not by the solver section
-    "method": SOLVER_METHOD,
+    "method": ("krylov_cg",),
     **{f.name: f.default for f in dataclasses.fields(SolveConfig) if f.name != "fixed_iters"},
 }
 OUTPUT = {"directory": "out", "csv": True, "summary": True}
@@ -107,15 +107,19 @@ def _read(section, path: str, fields: dict) -> dict:
 def _value(section: dict, path: str, key: str, default):
     """``section[key]`` coerced to the type of ``default``, or ``default``
     when the key is absent. A type as ``default`` makes the key required
-    and is the type itself; a None default passes the value on as it is,
-    for the caller to check."""
+    and is the type itself; a tuple lists the accepted values, its first
+    the default; a None default passes the value on as it is, for the
+    caller to check."""
     required = isinstance(default, type)
+    choices = isinstance(default, tuple)
     if key not in section:
         if required:
             raise ConfigError(f"missing field '{path}.{key}'")
-        return default
+        return default[0] if choices else default
     kind = default if required else type(default)
     value = section[key]
+    if choices and value not in default:
+        raise ConfigError(f"field '{path}.{key}' has unknown value {value!r}")
     try:
         if kind in (int, float) and isinstance(value, bool):
             raise ValueError  # YAML true/false, which int() and float() accept
@@ -189,10 +193,6 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
     if config.get("model") is None:
         raise ConfigError("missing config section 'model'")
     values = _read(config["model"], "model", MODEL)
-    if values["type"] not in ("gpe", "coupled"):
-        raise ConfigError(f"field 'model.type' has unknown value {values['type']!r}")
-    if values["boundary"] not in (DIRICHLET, PERIODIC):
-        raise ConfigError(f"field 'model.boundary' has unknown value {values['boundary']!r}")
     n_orbitals = values["n_orbitals"]
     if values["type"] == "gpe" and n_orbitals != 1:
         raise ConfigError("field 'model.n_orbitals' must be 1 for type 'gpe'")
@@ -214,13 +214,7 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
 
 
 def _build_solver(config: dict) -> SolveConfig:
-    values = _read(config.get("solver"), "solver", SOLVER)
-    if values["method"] != SOLVER_METHOD:
-        raise ConfigError(
-            f"field 'solver.method' has unknown value {values['method']!r}; "
-            f"the only solver is {SOLVER_METHOD!r}"
-        )
-    return _build(SolveConfig, values, "solver")
+    return _build(SolveConfig, _read(config.get("solver"), "solver", SOLVER), "solver")
 
 
 def _parse_methods(config: dict) -> list:
@@ -238,9 +232,6 @@ def _parse_methods(config: dict) -> list:
         if name in seen:
             raise ConfigError(f"field '{path}.name': duplicate method {name!r}")
         seen.add(name)
-        if spec["retraction"] not in RETRACTION_KINDS:
-            raise ConfigError(
-                f"field '{path}.retraction' has unknown value {spec['retraction']!r}")
         # Checked here, so that no method runs on a config that a later one rejects.
         for key, valid, need in (("tau", spec["tau"] > 0.0, "> 0"),
                                  ("fixed_iters", spec["fixed_iters"] >= 1, ">= 1"),
@@ -289,6 +280,12 @@ def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult
     )
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Write ``lines`` to ``path`` in the one format of every output file:
+    UTF-8, each line ended by a newline (LF)."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_history_csv(path: Path, result: RunResult) -> None:
     lines = [CSV_HEADER]
     for rec in result.history:
@@ -297,7 +294,7 @@ def _write_history_csv(path: Path, result: RunResult) -> None:
             f"{rec.grad_a_norm:.12e},{rec.step_size:.12e},{rec.backtracks},"
             f"{rec.inner_iterations},{rec.wall_time_s:.12e}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _write_diagnostics_csv(path: Path, model, result: RunResult) -> None:
@@ -305,7 +302,7 @@ def _write_diagnostics_csv(path: Path, model, result: RunResult) -> None:
     lines = ["iter,r2,r3"]
     for n in range(len(r2)):
         lines.append(f"{n},{r2[n]:.12e},{r3[n]:.12e}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _model_summary_line(model: EnergyModel, seed: int) -> str:
@@ -383,9 +380,7 @@ def run(
             all_converged = False
             failure_cause = result.termination
     if output["summary"]:
-        (directory / "summary.txt").write_text(
-            "\n\n".join(blocks) + "\n", encoding="utf-8"
-        )
+        _write_lines(directory / "summary.txt", ["\n\n".join(blocks)])  # blank line between blocks
     if not all_converged:
         print(f"run did not converge: {failure_cause}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -425,13 +420,13 @@ def oracle(config_path, out_dir: Optional[str] = None) -> int:
     lines = ["index,eigenvalue"]
     for j in range(n):
         lines.append(f"{j},{eigenvalues[j]:.12e}")
-    (directory / "oracle_eigs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(directory / "oracle_eigs.csv", lines)
 
     header = ",".join(f"mode_{j}" for j in range(n))
     rows = [header]
     for row in modes:
         rows.append(",".join(f"{val:.12e}" for val in row))
-    (directory / "oracle_modes.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_lines(directory / "oracle_modes.csv", rows)
     return EXIT_OK
 
 

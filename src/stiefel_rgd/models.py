@@ -134,17 +134,23 @@ def potential_zero(grid: GridSpec) -> np.ndarray:
     return np.zeros(grid.n_dof)
 
 
-def potential_harmonic(
-    grid: GridSpec, omega: float, center: Union[float, Sequence[float], None] = None
-) -> np.ndarray:
-    """Harmonic trap omega^2 * |r - r0|^2 / 2, centered in the box by default."""
-    coords = grid.coordinates()
+def _offsets(grid: GridSpec, center: Union[float, Sequence[float], None]) -> np.ndarray:
+    """Every grid point minus the potential's center (the middle of the box
+    by default), as an ``(n_dof, dimension)`` array; the center needs one
+    entry per dimension."""
     if center is None:
         center = [grid.domain_length / 2.0] * grid.dimension
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     if center.shape != (grid.dimension,):
         raise ShapeError("potential center must have one entry per dimension")
-    r2 = np.sum((coords - center[None, :]) ** 2, axis=1)
+    return grid.coordinates() - center[None, :]
+
+
+def potential_harmonic(
+    grid: GridSpec, omega: float, center: Union[float, Sequence[float], None] = None
+) -> np.ndarray:
+    """Harmonic trap omega^2 * |r - r0|^2 / 2, centered in the box by default."""
+    r2 = np.sum(_offsets(grid, center) ** 2, axis=1)
     return 0.5 * omega**2 * r2
 
 
@@ -155,11 +161,7 @@ def potential_well(
     center: Union[float, Sequence[float], None] = None,
 ) -> np.ndarray:
     """Rectangular well/barrier: value ``depth`` inside the box of edge ``width``."""
-    coords = grid.coordinates()
-    if center is None:
-        center = [grid.domain_length / 2.0] * grid.dimension
-    center = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    inside = np.all(np.abs(coords - center[None, :]) <= width / 2.0, axis=1)
+    inside = np.all(np.abs(_offsets(grid, center)) <= width / 2.0, axis=1)
     return np.where(inside, float(depth), 0.0)
 
 

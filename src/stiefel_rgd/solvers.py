@@ -10,16 +10,9 @@ F-ordered, so every column is contiguous: the sparse product
 (``models.csr_product``) runs the CSR kernel on each column in place, and
 no step copies the block to another layout.
 
-The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``.
-On a 1D Dirichlet grid that operator is tridiagonal: LAPACK ``dpttrf``
-factors it as L D L^T once per grid, and each application is one
-``dpttrs`` call on the whole block. On a 1D periodic grid the stencil is
-cyclic, not tridiagonal, and a sparse LU (SuperLU) solves it. In 2D,
-where that operator is the Kronecker sum ``L1 (x) I + I (x) L1 + I`` of
-the 1D stencil ``L1 = Q diag(lam) Q^T``, the product ``(Q (x) Q) diag(1 / (lam_i + lam_j +
-1)) (Q (x) Q)^T`` (the fast diagonalization method of Lynch, Rice and
-Thomas, 1964), applied to each column as four dense ``(n, n)`` matrix
-products; nothing is factored in 2D.
+The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``,
+built once per grid by ``_kinetic_shift``, whose docstring describes its
+three implementations.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ class SolveConfig:
     ``fixed_iters`` steps and ignores ``rel_tol`` and ``max_iters``. In
     either mode a column also stops early once ``r . M r`` is exactly 0.
     ``preconditioner`` is ``none`` or ``kinetic_shift``, the exact inverse
-    of ``laplacian + I`` (see the module docstring).
+    of ``laplacian + I`` (see ``_kinetic_shift``).
 
     Tolerance mode tests a column only after a step, so a column whose start
     already meets ``rel_tol`` (without being exact) still takes one step.
@@ -100,78 +93,57 @@ class SolveReport:
 
 
 @lru_cache(maxsize=None)
-def _kinetic_shift_factorization(grid: GridSpec, c0: float):
-    """Sparse LU of ``laplacian(grid) + c0 I`` on a periodic 1D grid."""
-    mat = stencil_plus(grid, c0)[0].tocsc()
-    return spla.splu(mat)
+def _kinetic_shift(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The kinetic-shift preconditioner of ``grid``: the exact inverse of
+    ``laplacian(grid) + c0 I`` with ``c0 = KINETIC_SHIFT_C0``, as a map on
+    one column or an F-ordered block of columns, built once per grid.
 
-
-@lru_cache(maxsize=None)
-def _kinetic_shift_tridiagonal(grid: GridSpec, c0: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The L D L^T factors of the tridiagonal ``laplacian(grid) + c0 I`` on
-    a 1D Dirichlet grid, by LAPACK ``dpttrf``, read-only: the diagonal of D
-    and the subdiagonal of the unit bidiagonal L, as ``dpttrs`` reads them."""
-    lap = laplacian(grid)
-    d, e, info = dpttrf(lap.diagonal() + c0, lap.diagonal(1))
-    if info != 0:
-        raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
-    for array in (d, e):
-        array.setflags(write=False)
-    return d, e
-
-
-@lru_cache(maxsize=None)
-def _kinetic_shift_eigenbasis(grid: GridSpec, c0: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``q`` of the 1D stencil ``L1 = q diag(lam) q^T`` of a 2D
-    grid, and the ``(n, n)`` eigenvalues ``1 / (lam_i + lam_j + c0)`` of
-    ``(laplacian(grid) + c0 I)^-1`` in the basis ``q (x) q``.
-
-    Dirichlet and periodic stencils alike are symmetric, so ``eigh``
-    serves both.
+    - 1D Dirichlet: the operator is tridiagonal. LAPACK ``dpttrf`` factors
+      it as L D L^T once, and each application is one ``dpttrs`` call on
+      the whole block: O(n) per column, each column solved on its own, an
+      F-ordered result for a block and a vector for a vector.
+    - 1D periodic: the stencil is cyclic, not tridiagonal, so its sparse LU
+      (SuperLU) solves it.
+    - 2D: the operator is the Kronecker sum ``L1 (x) I + I (x) L1 + c0 I``
+      of the 1D stencil ``L1 = q diag(lam) q^T`` (Dirichlet and periodic
+      stencils alike are symmetric, so ``eigh`` serves both), and its
+      inverse is ``(q (x) q) diag(inv) (q (x) q)^T`` with ``inv = 1 /
+      (lam_i + lam_j + c0)``: the fast diagonalization method of Lynch,
+      Rice and Thomas (1964). Each column is reshaped to an ``(n, n)``
+      array ``X`` (grid index ``i * n + j`` at ``X[i, j]``) and mapped to
+      ``q (q^T X q * inv) q^T``: four dense ``(n, n)`` products per column,
+      each column its own matmul slab, so a column's result does not depend
+      on the rest of the block. An F-ordered block reshapes without a copy
+      and comes back F-ordered. Nothing is factored in 2D.
     """
+    if grid.dimension == 1 and grid.boundary == DIRICHLET:
+        lap = laplacian(grid)
+        d, e, info = dpttrf(lap.diagonal() + KINETIC_SHIFT_C0, lap.diagonal(1))
+        if info != 0:
+            raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
+        return lambda r: dpttrs(d, e, r)[0]
+    if grid.dimension == 1:
+        return spla.splu(stencil_plus(grid, KINETIC_SHIFT_C0)[0].tocsc()).solve
     n = grid.points_per_axis
     stencil = laplacian(GridSpec(1, n, grid.domain_length, grid.boundary))
     lam, q = np.linalg.eigh(stencil.toarray())
-    inv = 1.0 / (lam[:, None] + lam[None, :] + c0)
-    for array in (q, inv):
-        array.setflags(write=False)
-    return q, inv
+    inv = 1.0 / (lam[:, None] + lam[None, :] + KINETIC_SHIFT_C0)
+
+    def kinetic_shift(r: np.ndarray) -> np.ndarray:
+        y = q.T @ r.T.reshape(-1, n, n) @ q
+        y *= inv
+        return (q @ y @ q.T).reshape(r.shape[::-1]).T
+
+    return kinetic_shift
 
 
 def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndarray], np.ndarray]:
-    """The chosen preconditioner as a map on one column or a block of columns.
-
-    ``kinetic_shift`` is the exact inverse of ``laplacian + I``. On a 1D
-    Dirichlet grid the operator is tridiagonal, and one LAPACK ``dpttrs``
-    call solves the whole block with the cached ``dpttrf`` factors: O(n)
-    per column, each column solved on its own, and an F-ordered result for
-    a block, a vector for a vector. On a 1D periodic grid the stencil is
-    cyclic, so its sparse LU (SuperLU) solves it. In 2D each column is
-    reshaped to an ``(n, n)`` array ``X`` (grid index ``i * n + j`` at
-    ``X[i, j]``) and mapped to
-    ``q (q^T X q * inv) q^T`` in the tensor eigenbasis of the 1D stencil:
-    four dense ``(n, n)`` products per column, each column its own matmul
-    slab, so a column's result does not depend on the rest of the block.
-    An F-ordered block reshapes without a copy and comes back F-ordered.
-    """
+    """The chosen preconditioner as a map on one column or a block of
+    columns: the identity, or ``_kinetic_shift`` of the operator's grid."""
     if kind == PRECONDITIONER_NONE:
         return lambda r: r
     if kind == PRECONDITIONER_KINETIC_SHIFT:
-        grid = op.model.grid
-        if grid.dimension == 1 and grid.boundary == DIRICHLET:
-            d, e = _kinetic_shift_tridiagonal(grid, KINETIC_SHIFT_C0)
-            return lambda r: dpttrs(d, e, r)[0]
-        if grid.dimension == 1:
-            return _kinetic_shift_factorization(grid, KINETIC_SHIFT_C0).solve
-        q, inv = _kinetic_shift_eigenbasis(grid, KINETIC_SHIFT_C0)
-        n = grid.points_per_axis
-
-        def kinetic_shift(r: np.ndarray) -> np.ndarray:
-            y = q.T @ r.T.reshape(-1, n, n) @ q
-            y *= inv
-            return (q @ y @ q.T).reshape(r.shape[::-1]).T
-
-        return kinetic_shift
+        return _kinetic_shift(op.model.grid)
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 

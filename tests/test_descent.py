@@ -29,6 +29,7 @@ from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD, compute_direct
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
+from stiefel_rgd.solvers import SolveConfig
 
 from conftest import (
     DIRECT,
@@ -451,6 +452,22 @@ class TestOtherDiscretizations:
         )
         assert run.converged
         assert np.all(np.diff(run.eigenvalues) >= 0)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_2d_periodic_linear_run_matches_dense_oracle(self, seed):
+        # The only end-to-end run of the periodic fast-diagonalization
+        # preconditioner: a linear 2D periodic trap, whose second and third
+        # eigenvalues are degenerate, against the dense eigensolve.
+        model = make_model(n=12, length=1.0, omega=10.0, kappa=0.0, n_orbitals=3,
+                           dimension=2, boundary="periodic")
+        run = rgd_line_search(
+            model, initial_frame(model.grid, 3, seed), tol=1e-9, max_iter=2000,
+            solver_config=SolveConfig(rel_tol=1e-10, max_iters=500,
+                                      preconditioner="kinetic_shift"),
+        )
+        assert run.termination == TERMINATION_RESIDUAL
+        expected, _ = dense_lowest_eigenpairs(model, 3)
+        assert np.abs(np.asarray(run.eigenvalues) - expected).max() <= 1e-9
 
     def test_2d_multi_orbital_exact_run_reaches_tol(self):
         # The ROADMAP item 5 regime on a 32^2 grid: from this start frame, exact

@@ -91,6 +91,28 @@ class TestPotentials:
         assert np.all(v[inside] == -4.0)
         assert np.all(v[~inside] == 0.0)
 
+    @pytest.mark.parametrize("dimension, center", [
+        (1, [0.5, 0.5]), (1, []), (2, [0.5]), (2, 0.5), (2, [0.5, 0.5, 0.5]),
+    ])
+    @pytest.mark.parametrize("kind", ["harmonic", "well"])
+    def test_center_needs_one_entry_per_dimension(self, kind, dimension, center):
+        # A short center must not broadcast over the axes, nor a long one
+        # fail inside numpy: both kinds reject it by name.
+        grid = GridSpec(dimension, 9, 1.0)
+        with pytest.raises(ShapeError, match="one entry per dimension"):
+            if kind == "harmonic":
+                potential_harmonic(grid, 6.0, center)
+            else:
+                potential_well(grid, depth=-4.0, width=0.25, center=center)
+
+    def test_well_off_center_footprint(self):
+        grid = GridSpec(2, 9, 1.0)
+        v = potential_well(grid, depth=-4.0, width=0.3, center=[0.3, 0.7])
+        coords = grid.coordinates()
+        inside = (np.abs(coords[:, 0] - 0.3) <= 0.15) & (np.abs(coords[:, 1] - 0.7) <= 0.15)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(v, np.where(inside, -4.0, 0.0))
+
     def test_zero(self):
         grid = GridSpec(1, 8, 1.0)
         assert np.all(potential_zero(grid) == 0.0)

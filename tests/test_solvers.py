@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from stiefel_rgd import (
     ConvergenceError,
@@ -450,12 +450,13 @@ class TestPreconditioners:
         grid = model.grid
         op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
         apply_m = solvers._preconditioner_apply("kinetic_shift", op)
-        d, e = solvers._kinetic_shift_tridiagonal(grid, solvers.KINETIC_SHIFT_C0)
-        assert not d.flags.writeable and not e.flags.writeable
-        # The cached factors are those of laplacian + I: L D L^T with L
-        # unit lower bidiagonal.
+        # The map is dpttrs on the dpttrf factors of laplacian + I: L D L^T
+        # with L unit lower bidiagonal.
+        lap = laplacian(grid)
+        d, e, info = dpttrf(lap.diagonal() + 1.0, lap.diagonal(1))
+        assert info == 0
         unit_l = np.eye(grid.n_dof) + np.diag(e, -1)
-        shifted = (laplacian(grid) + sp.identity(grid.n_dof)).toarray()
+        shifted = (lap + sp.identity(grid.n_dof)).toarray()
         assert np.abs(unit_l @ np.diag(d) @ unit_l.T - shifted).max() <= 1e-13 * shifted.max()
         r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
         out = apply_m(r)
@@ -464,6 +465,24 @@ class TestPreconditioners:
         assert np.array_equal(apply_m(r[:, 0]), dpttrs(d, e, r[:, 0])[0])
         # One column of the block is that column solved alone.
         assert np.array_equal(apply_m(r[:, 2]), out[:, 2])
+
+    @pytest.mark.parametrize("dimension, points, boundary",
+                             [(1, 64, DIRICHLET), (1, 64, PERIODIC), (2, 12, DIRICHLET),
+                              (2, 12, PERIODIC)])
+    def test_kinetic_shift_is_built_once_per_grid(self, rng, dimension, points, boundary):
+        # Operators anchored at different frames on equal (not identical)
+        # grids share one map; nothing is rebuilt per operator or per solve.
+        maps = []
+        for _ in range(2):
+            model = make_model(n=points, length=1.0, omega=8.0, kappa=20.0, n_orbitals=3,
+                               dimension=dimension, boundary=boundary)
+            op = DiscreteOperatorA.at(model, random_frame(model.grid, 3, rng))
+            maps.append(solvers._preconditioner_apply("kinetic_shift", op))
+        assert maps[0] is maps[1]
+        other = make_model(n=points + 2, length=1.0, omega=8.0, kappa=20.0, n_orbitals=3,
+                           dimension=dimension, boundary=boundary)
+        other_op = DiscreteOperatorA.at(other, random_frame(other.grid, 3, rng))
+        assert solvers._preconditioner_apply("kinetic_shift", other_op) is not maps[0]
 
     def test_kinetic_shift_reduces_iterations(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
