@@ -9,7 +9,7 @@ multi-orbital model on the Stiefel manifold.
 Small dense systems go to LAPACK through ``scipy.linalg.lapack`` directly:
 ``dposv`` for the Cholesky solves here, ``dsyevd`` for the polar
 retraction in ``geometry``, and ``dpttrf``/``dpttrs`` for the tridiagonal
-kinetic-shift preconditioner of 1D Dirichlet grids in ``solvers``. On
+kinetic-shift preconditioner of 1D grids in ``solvers``. On
 N x N matrices, and on O(n) tridiagonal solves, the checking wrappers of
 numpy and scipy cost more than the factorizations. ``scipy.linalg`` is
 imported after ``scipy.sparse``: the other order made every fresh

@@ -10,8 +10,12 @@ F-ordered, so every column is contiguous: the sparse product
 (``models.csr_product``) runs the CSR kernel on each column in place, and
 no step copies the block to another layout.
 
-The kinetic-shift preconditioner is the exact inverse of ``laplacian + I``,
-built once per grid by ``_kinetic_shift``, whose docstring describes its
+The kinetic-shift preconditioner is the exact inverse of ``laplacian + c
+I``. A tolerance-mode solve takes ``c`` from its operator, the mean of the
+diagonal shift ``V + gamma(rho) + shift`` but at least
+``KINETIC_SHIFT_C0``, and builds its map in O(n_dof); a fixed-mode solve
+applies the map of ``c = KINETIC_SHIFT_C0``, built once per grid
+(``_preconditioner_apply`` says why). ``_kinetic_shifts`` describes the
 three implementations.
 """
 
@@ -24,11 +28,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, OperatorNotSPDError, ShapeError
 from .frames import DIRICHLET, Frame, GridSpec, same_grid
-from .models import DiscreteOperatorA, csr_product, dpttrf, dpttrs, laplacian, stencil_plus
+from .models import DiscreteOperatorA, csr_product, dpttrf, dpttrs, laplacian
 
 PRECONDITIONER_NONE = "none"
 PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
@@ -49,7 +52,9 @@ class SolveConfig:
     ``fixed_iters`` steps and ignores ``rel_tol`` and ``max_iters``. In
     either mode a column also stops early once ``r . M r`` is exactly 0.
     ``preconditioner`` is ``none`` or ``kinetic_shift``, the exact inverse
-    of ``laplacian + I`` (see ``_kinetic_shift``).
+    of ``laplacian + c I``: with ``c`` the operator's mean diagonal shift
+    in tolerance mode, ``KINETIC_SHIFT_C0`` in fixed mode (see
+    ``_preconditioner_apply``).
 
     Tolerance mode tests a column only after a step, so a column whose start
     already meets ``rel_tol`` (without being exact) still takes one step.
@@ -93,22 +98,34 @@ class SolveReport:
 
 
 @lru_cache(maxsize=None)
-def _kinetic_shift(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The kinetic-shift preconditioner of ``grid``: the exact inverse of
-    ``laplacian(grid) + c0 I`` with ``c0 = KINETIC_SHIFT_C0``, as a map on
-    one column or an F-ordered block of columns, built once per grid.
+def _kinetic_shifts(
+    grid: GridSpec,
+) -> Tuple[np.ndarray, Callable[[float], Callable[[np.ndarray], np.ndarray]]]:
+    """The kinetic-shift preconditioners of ``grid``: the diagonal of
+    ``laplacian(grid)``, read-only, and the map ``c -> M_c`` whose ``M_c``
+    is the exact inverse of ``laplacian(grid) + c I``, on one column or an
+    F-ordered block of columns. What does not depend on ``c`` is built here,
+    once per grid; each ``M_c`` costs O(n_dof) to build.
 
     - 1D Dirichlet: the operator is tridiagonal. LAPACK ``dpttrf`` factors
-      it as L D L^T once, and each application is one ``dpttrs`` call on
-      the whole block: O(n) per column, each column solved on its own, an
-      F-ordered result for a block and a vector for a vector.
-    - 1D periodic: the stencil is cyclic, not tridiagonal, so its sparse LU
-      (SuperLU) solves it.
-    - 2D: the operator is the Kronecker sum ``L1 (x) I + I (x) L1 + c0 I``
+      it as L D L^T (one call per ``c``, O(n)), and each application is one
+      ``dpttrs`` call on the whole block: O(n) per column, each column
+      solved on its own, an F-ordered result for a block and a vector for a
+      vector.
+    - 1D periodic: the cyclic stencil is a tridiagonal ``B`` plus the
+      rank-one ``s w w^T``, with ``s = 1 / h^2`` (its corner entry,
+      negated) and ``w = e_0 - e_{n-1}``: ``B`` has ``s`` less on its first
+      and last diagonal entries and no corners, so ``B + c I`` is SPD for
+      ``c > 0``. The map is ``dpttrf``/``dpttrs`` on ``B + c I`` with the
+      Sherman-Morrison correction ``y - z s (w^T y) / (1 + s w^T z)``, where
+      ``y = (B + c I)^-1 r`` and ``z = (B + c I)^-1 w`` (one ``z`` per
+      ``c``): O(n) per column, each column on its own. With n = 2 the
+      stencil is tridiagonal itself and is solved as in the Dirichlet case.
+    - 2D: the operator is the Kronecker sum ``L1 (x) I + I (x) L1 + c I``
       of the 1D stencil ``L1 = q diag(lam) q^T`` (Dirichlet and periodic
       stencils alike are symmetric, so ``eigh`` serves both), and its
       inverse is ``(q (x) q) diag(inv) (q (x) q)^T`` with ``inv = 1 /
-      (lam_i + lam_j + c0)``: the fast diagonalization method of Lynch,
+      (lam_i + lam_j + c)``: the fast diagonalization method of Lynch,
       Rice and Thomas (1964). Each column is reshaped to an ``(n, n)``
       array ``X`` (grid index ``i * n + j`` at ``X[i, j]``) and mapped to
       ``q (q^T X q * inv) q^T``: four dense ``(n, n)`` products per column,
@@ -116,39 +133,90 @@ def _kinetic_shift(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
       on the rest of the block. An F-ordered block reshapes without a copy
       and comes back F-ordered. Nothing is factored in 2D.
     """
-    if grid.dimension == 1 and grid.boundary == DIRICHLET:
-        lap = laplacian(grid)
-        d, e, info = dpttrf(lap.diagonal() + KINETIC_SHIFT_C0, lap.diagonal(1))
-        if info != 0:
-            raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
-        return lambda r: dpttrs(d, e, r)[0]
-    if grid.dimension == 1:
-        return spla.splu(stencil_plus(grid, KINETIC_SHIFT_C0)[0].tocsc()).solve
+    lap = laplacian(grid)
+    lap_diagonal = lap.diagonal()
+    lap_diagonal.setflags(write=False)
     n = grid.points_per_axis
+    if grid.dimension == 1:
+        off = lap.diagonal(1)
+        corner = -lap[0, n - 1] if grid.boundary != DIRICHLET and n > 2 else 0.0
+        tridiagonal = lap_diagonal.copy()
+        tridiagonal[[0, -1]] -= corner
+        w = np.zeros(n)
+        w[[0, -1]] = 1.0, -1.0
+
+        def shifted(c: float) -> Callable[[np.ndarray], np.ndarray]:
+            d, e, info = dpttrf(tridiagonal + c, off)
+            if info != 0:
+                raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
+            if not corner:
+                return lambda r: dpttrs(d, e, r)[0]
+            z = dpttrs(d, e, w)[0]
+            scale = corner / (1.0 + corner * (z[0] - z[-1]))
+
+            def kinetic_shift(r: np.ndarray) -> np.ndarray:
+                y = dpttrs(d, e, r)[0]
+                y -= np.multiply.outer(z, scale * (y[0] - y[-1]))
+                return y
+
+            return kinetic_shift
+
+        return lap_diagonal, shifted
     stencil = laplacian(GridSpec(1, n, grid.domain_length, grid.boundary))
     lam, q = np.linalg.eigh(stencil.toarray())
-    inv = 1.0 / (lam[:, None] + lam[None, :] + KINETIC_SHIFT_C0)
+    lam_sum = lam[:, None] + lam[None, :]
 
-    def kinetic_shift(r: np.ndarray) -> np.ndarray:
-        y = q.T @ r.T.reshape(-1, n, n) @ q
-        y *= inv
-        return (q @ y @ q.T).reshape(r.shape[::-1]).T
+    def shifted(c: float) -> Callable[[np.ndarray], np.ndarray]:
+        inv = 1.0 / (lam_sum + c)
 
-    return kinetic_shift
+        def kinetic_shift(r: np.ndarray) -> np.ndarray:
+            y = q.T @ r.T.reshape(-1, n, n) @ q
+            y *= inv
+            return (q @ y @ q.T).reshape(r.shape[::-1]).T
+
+        return kinetic_shift
+
+    return lap_diagonal, shifted
 
 
-def _preconditioner_apply(kind: str, op: DiscreteOperatorA) -> Callable[[np.ndarray], np.ndarray]:
+@lru_cache(maxsize=None)
+def _kinetic_shift(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse of ``laplacian(grid) + c0 I`` with ``c0 =
+    KINETIC_SHIFT_C0`` (see ``_kinetic_shifts``), built once per grid."""
+    return _kinetic_shifts(grid)[1](KINETIC_SHIFT_C0)
+
+
+def _preconditioner_apply(
+    kind: str, op: DiscreteOperatorA, tolerance_mode: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
     """The chosen preconditioner as a map on one column or a block of
-    columns: the identity, or ``_kinetic_shift`` of the operator's grid."""
+    columns: the identity, or a kinetic-shift inverse on the operator's grid.
+
+    In tolerance mode (a ``solve`` without ``fixed_iters``) the
+    kinetic-shift map is built for ``op``: the inverse of ``laplacian + c
+    I``, with ``c`` the mean of the operator's diagonal shift ``V +
+    gamma(rho) + shift``, floored at ``KINETIC_SHIFT_C0``. There the
+    preconditioner changes only the cost of a solve, whose answer
+    ``rel_tol`` fixes. Otherwise the map is ``_kinetic_shift`` of the grid,
+    built once: in fixed mode the preconditioner is part of the direction
+    a truncated solve returns, and ``apply_preconditioner`` applies that
+    map too.
+    """
     if kind == PRECONDITIONER_NONE:
         return lambda r: r
     if kind == PRECONDITIONER_KINETIC_SHIFT:
-        return _kinetic_shift(op.model.grid)
+        if not tolerance_mode:
+            return _kinetic_shift(op.model.grid)
+        lap_diagonal, shifted = _kinetic_shifts(op.model.grid)
+        # The bits of np.mean, without its Python-level wrapper.
+        mean_shift = float((op.diagonal - lap_diagonal).sum()) / lap_diagonal.size
+        return shifted(max(KINETIC_SHIFT_C0, mean_shift))
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 
 def apply_preconditioner(kind: str, op: DiscreteOperatorA, r: Frame) -> Frame:
-    """Apply the chosen preconditioner to every column of a residual frame."""
+    """Apply the chosen preconditioner to every column of a residual frame:
+    the map a fixed-mode solve applies."""
     values = _preconditioner_apply(kind, op)(r.values)
     return r if values is r.values else Frame._wrap(values, r.grid)
 
@@ -314,7 +382,7 @@ def solve(
         op.matrix,
         b.values,
         warm_start.values if warm_start is not None else None,
-        _preconditioner_apply(config.preconditioner, op),
+        _preconditioner_apply(config.preconditioner, op, config.fixed_iters is None),
         config.rel_tol,
         config.max_iters,
         config.fixed_iters,

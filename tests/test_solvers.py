@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from stiefel_rgd import (
@@ -13,18 +12,23 @@ from stiefel_rgd import (
     GridSpec,
     SolveConfig,
     apply_preconditioner,
+    initial_frame,
     norm_h,
     random_frame,
+    rgd_fixed_step,
+    rgd_line_search,
     solve,
     zero_frame,
 )
 from stiefel_rgd import solvers
+from stiefel_rgd.descent import TERMINATION_RESIDUAL
+from stiefel_rgd.directions import EXACT_GRAD
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import DIRICHLET, PERIODIC
 from stiefel_rgd.geometry import retract_qr_mgs
 from stiefel_rgd.models import csr_product, laplacian
 
-from conftest import dense_solve, make_model
+from conftest import FIXED_TAU, RUN_TOL, dense_solve, make_model, reference_solver_config
 
 
 @pytest.fixture
@@ -89,6 +93,14 @@ def reference_pcg(matrix, b, x0, apply_m, rel_tol, max_iters, fixed_iters):
         rz, rz_old = np.dot(r, z), rz
         p = z + (rz / rz_old) * p
     return x, iterations
+
+
+def mean_shift(op):
+    """The shift a tolerance-mode kinetic-shift map inverts with the
+    Laplacian: the mean of the operator's diagonal beyond the Laplacian's,
+    floored at KINETIC_SHIFT_C0."""
+    lap_diagonal = laplacian(op.model.grid).diagonal()
+    return max(solvers.KINETIC_SHIFT_C0, float(np.mean(op.diagonal - lap_diagonal)))
 
 
 def column(frame, j):
@@ -207,7 +219,7 @@ class TestBlockedColumns:
             rel_tol=1e-8, max_iters=2000, fixed_iters=fixed_iters, preconditioner=kind
         )
         x, report = solve(op, b, config, warm_start=x0)
-        apply_m = solvers._preconditioner_apply(kind, op)
+        apply_m = solvers._preconditioner_apply(kind, op, fixed_iters is None)
         for j in range(4):
             alone, alone_report = solve(op, column(b, j), config, warm_start=column(x0, j))
             assert alone_report.iterations_per_column == [report.iterations_per_column[j]]
@@ -258,7 +270,7 @@ class TestBlockedColumns:
             preconditioner="kinetic_shift",
         )
         x, report = solve(op, b, config)
-        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op, fixed_iters is None)
         for j in range(4):
             alone, alone_report = solve(op, column(b, j), config)
             assert alone_report.iterations_per_column == [report.iterations_per_column[j]]
@@ -276,8 +288,8 @@ class TestBlockedColumns:
         calls = []
         make_applier = solvers._preconditioner_apply
 
-        def counting(kind, op):
-            apply_m = make_applier(kind, op)
+        def counting(*args):
+            apply_m = make_applier(*args)
 
             def counted(r):
                 calls.append(r.shape)
@@ -433,17 +445,51 @@ class TestPreconditioners:
         lhs, rhs = np.dot(u, apply_m(v)), np.dot(apply_m(u), v)
         assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(apply_m(v))
 
-    def test_kinetic_shift_is_superlu_solve_1d_periodic(self, rng):
-        # The cyclic stencil is not tridiagonal, so SuperLU keeps it.
+    def test_kinetic_shift_is_corrected_pttrs_solve_1d_periodic(self, rng):
+        # The cyclic stencil is the tridiagonal B (no corners, 1/h^2 less at
+        # both ends) plus (1/h^2) w w^T with w = e_0 - e_{n-1}: dpttrs on the
+        # factors of B + I, then one Sherman-Morrison correction.
         model = make_model(n=64, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4,
                            boundary=PERIODIC)
         grid = model.grid
         op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
         apply_m = solvers._preconditioner_apply("kinetic_shift", op)
-        lu = spla.splu((laplacian(grid) + sp.identity(grid.n_dof)).tocsc())
+        lap = laplacian(grid)
+        s = 1.0 / grid.spacing**2
+        assert lap[0, grid.n_dof - 1] == lap[grid.n_dof - 1, 0] == -s
+        tridiagonal = lap.diagonal()
+        tridiagonal[[0, -1]] -= s
+        d, e, info = dpttrf(tridiagonal + 1.0, lap.diagonal(1))
+        assert info == 0
+        w = np.zeros(grid.n_dof)
+        w[[0, -1]] = 1.0, -1.0
+        z = dpttrs(d, e, w)[0]
+        scale = s / (1.0 + s * (z[0] - z[-1]))
+        shifted = (lap + sp.identity(grid.n_dof)).toarray()
         r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
-        assert np.array_equal(apply_m(r), lu.solve(r))
-        assert np.array_equal(apply_m(r[:, 0]), lu.solve(r[:, 0]))
+        out = apply_m(r)
+        assert out.flags.f_contiguous
+        for j in range(4):
+            y = dpttrs(d, e, r[:, j])[0]
+            expected = y - z * (scale * (y[0] - y[-1]))
+            assert np.array_equal(out[:, j], expected)
+            # One column of the block is that column solved alone.
+            assert np.array_equal(apply_m(r[:, j]), expected)
+            exact = np.linalg.solve(shifted, r[:, j])
+            assert np.linalg.norm(expected - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_kinetic_shift_two_point_periodic_grid(self, rng):
+        # With two points the cyclic stencil is tridiagonal itself.
+        model = make_model(n=2, length=1.0, omega=8.0, kappa=20.0, n_orbitals=1,
+                           boundary=PERIODIC)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, 1, rng))
+        r = rng.standard_normal((2, 1))
+        for tolerance_mode in (False, True):
+            apply_m = solvers._preconditioner_apply("kinetic_shift", op, tolerance_mode)
+            c = mean_shift(op) if tolerance_mode else 1.0
+            shifted = (laplacian(grid) + c * sp.identity(2)).toarray()
+            assert np.allclose(apply_m(r), np.linalg.solve(shifted, r), rtol=1e-14, atol=0)
 
     def test_kinetic_shift_is_pttrs_solve_1d_dirichlet(self, rng):
         model = make_model(n=64, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4)
@@ -466,23 +512,103 @@ class TestPreconditioners:
         # One column of the block is that column solved alone.
         assert np.array_equal(apply_m(r[:, 2]), out[:, 2])
 
+    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+    def test_kinetic_shift_is_fast_diagonalization_2d(self, rng, boundary):
+        # The 2D map: q (q^T X q * inv) q^T per column, with q, lam the
+        # eigenbasis of the 1D stencil and inv = 1 / (lam_i + lam_j + 1).
+        model = make_model(n=12, length=1.0, omega=8.0, kappa=20.0, n_orbitals=4,
+                           dimension=2, boundary=boundary)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, 4, rng))
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op)
+        n = grid.points_per_axis
+        lam, q = np.linalg.eigh(laplacian(GridSpec(1, n, 1.0, boundary)).toarray())
+        inv = 1.0 / (lam[:, None] + lam[None, :] + 1.0)
+        r = np.asfortranarray(rng.standard_normal((grid.n_dof, 4)))
+        out = apply_m(r)
+        assert out.flags.f_contiguous
+        for j in range(4):
+            y = q.T @ r[:, j].reshape(1, n, n) @ q
+            y *= inv
+            assert np.array_equal(out[:, j], (q @ y @ q.T).ravel())
+
+    @pytest.mark.parametrize("n_cols", [1, 4])
+    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("dimension, points", [(1, 128), (2, 24)])
+    def test_tolerance_mode_map_inverts_mean_shift(self, rng, dimension, points, boundary,
+                                                   n_cols):
+        # A tolerance-mode solve inverts laplacian + c I with c the mean of
+        # the operator's diagonal shift, here well above KINETIC_SHIFT_C0.
+        model = make_model(n=points, length=1.0, omega=10.0, kappa=100.0, n_orbitals=n_cols,
+                           dimension=dimension, boundary=boundary)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, n_cols, rng))
+        c = mean_shift(op)
+        assert c > 10.0
+        apply_m = solvers._preconditioner_apply("kinetic_shift", op, tolerance_mode=True)
+        shifted = (laplacian(grid) + c * sp.identity(grid.n_dof)).toarray()
+        r = np.asfortranarray(rng.standard_normal((grid.n_dof, n_cols)))
+        out = apply_m(r)
+        expected = np.linalg.solve(shifted, r)
+        assert out.shape == r.shape and out.flags.f_contiguous
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+        for j in range(n_cols):
+            assert np.array_equal(apply_m(r[:, j]), out[:, j])
+
+    @pytest.mark.parametrize("dimension, points, boundary",
+                             [(1, 128, DIRICHLET), (1, 128, PERIODIC), (2, 24, DIRICHLET),
+                              (2, 24, PERIODIC)])
+    def test_tolerance_mode_shift_floors_at_c0(self, rng, dimension, points, boundary):
+        # A shallow trap (omega 1, kappa 0) has a mean shift of about 0.04,
+        # below KINETIC_SHIFT_C0: its tolerance-mode map is the C0 map to
+        # the bit.
+        model = make_model(n=points, length=1.0, omega=1.0, kappa=0.0, n_orbitals=2,
+                           dimension=dimension, boundary=boundary)
+        grid = model.grid
+        op = DiscreteOperatorA.at(model, random_frame(grid, 2, rng))
+        assert 0.0 < np.mean(op.diagonal - laplacian(grid).diagonal()) < 0.1
+        fitted = solvers._preconditioner_apply("kinetic_shift", op, tolerance_mode=True)
+        fixed = solvers._preconditioner_apply("kinetic_shift", op)
+        r = np.asfortranarray(rng.standard_normal((grid.n_dof, 2)))
+        assert np.array_equal(fitted(r), fixed(r))
+
     @pytest.mark.parametrize("dimension, points, boundary",
                              [(1, 64, DIRICHLET), (1, 64, PERIODIC), (2, 12, DIRICHLET),
                               (2, 12, PERIODIC)])
-    def test_kinetic_shift_is_built_once_per_grid(self, rng, dimension, points, boundary):
+    def test_kinetic_shift_is_built_once_per_grid(self, rng, dimension, points, boundary,
+                                                  monkeypatch):
         # Operators anchored at different frames on equal (not identical)
-        # grids share one map; nothing is rebuilt per operator or per solve.
-        maps = []
+        # grids share one fixed-mode map; a tolerance-mode map is built per
+        # operator from the same per-grid parts.
+        maps, ops = [], []
         for _ in range(2):
             model = make_model(n=points, length=1.0, omega=8.0, kappa=20.0, n_orbitals=3,
                                dimension=dimension, boundary=boundary)
-            op = DiscreteOperatorA.at(model, random_frame(model.grid, 3, rng))
-            maps.append(solvers._preconditioner_apply("kinetic_shift", op))
+            ops.append(DiscreteOperatorA.at(model, random_frame(model.grid, 3, rng)))
+            maps.append(solvers._preconditioner_apply("kinetic_shift", ops[-1]))
         assert maps[0] is maps[1]
+        assert solvers._kinetic_shifts(ops[0].model.grid) is solvers._kinetic_shifts(
+            ops[1].model.grid)
+        fitted = [solvers._preconditioner_apply("kinetic_shift", op, True) for op in ops]
+        assert fitted[0] is not fitted[1] and maps[0] not in fitted
         other = make_model(n=points + 2, length=1.0, omega=8.0, kappa=20.0, n_orbitals=3,
                            dimension=dimension, boundary=boundary)
         other_op = DiscreteOperatorA.at(other, random_frame(other.grid, 3, rng))
         assert solvers._preconditioner_apply("kinetic_shift", other_op) is not maps[0]
+        # Nothing is rebuilt per fixed-mode solve; every tolerance-mode
+        # solve builds its map.
+        built = []
+        per_grid = solvers._kinetic_shifts
+
+        def counting(grid):
+            built.append(grid)
+            return per_grid(grid)
+
+        monkeypatch.setattr(solvers, "_kinetic_shifts", counting)
+        b = random_frame(ops[1].model.grid, 3, rng)
+        for fixed_iters in (3, 3, None, None):
+            solve(ops[1], b, SolveConfig(fixed_iters=fixed_iters, preconditioner="kinetic_shift"))
+        assert len(built) == 2
 
     def test_kinetic_shift_reduces_iterations(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
@@ -503,3 +629,30 @@ class TestPreconditioners:
         )
         recon = Frame(op.matrix @ x.values, model.grid)
         assert norm_h(recon - b) <= 1e-8 * norm_h(b)
+
+
+class TestToleranceModeShift:
+    """Runs whose exact solves the mean-shift preconditioner makes cheaper,
+    with their outer iterations unchanged. With the kinetic-shift map of
+    ``laplacian + I`` the 2D run took 5247 inner iterations and the 1D run
+    3151; with the mean shift they take 3044 and 2044."""
+
+    def test_exact_rgd_ls_2d_trap(self):
+        model = make_model(n=16, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
+                           dimension=2)
+        run = rgd_line_search(model, initial_frame(model.grid, 4, 1002),
+                              direction_kind=EXACT_GRAD, tol=RUN_TOL, max_iter=2000,
+                              solver_config=reference_solver_config())
+        assert run.termination == TERMINATION_RESIDUAL
+        assert run.iterations <= 600
+        assert run.total_inner_iterations <= 3600
+        assert run.history[-1].energy == pytest.approx(615.343089785, abs=1e-9)
+
+    def test_rgd_fixed_1d_trap(self):
+        model = make_model(n=128, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+        run = rgd_fixed_step(model, initial_frame(model.grid, 3, 1000), FIXED_TAU,
+                             tol=RUN_TOL, max_iter=2000,
+                             solver_config=reference_solver_config())
+        assert run.termination == TERMINATION_RESIDUAL
+        assert run.iterations == 481
+        assert run.total_inner_iterations <= 2400
