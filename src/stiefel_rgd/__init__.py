@@ -39,17 +39,7 @@ from .frames import (
     random_frame,
     zero_frame,
 )
-from .geometry import (
-    TangentCheckReport,
-    is_on_stiefel,
-    is_tangent,
-    project_tangent,
-    retract,
-    retract_polar,
-    retract_qr_cholesky,
-    retract_qr_mgs,
-    solve_lyapunov,
-)
+from .geometry import retract, retract_polar, retract_qr_mgs
 from .models import (
     DiscreteOperatorA,
     EnergyModel,

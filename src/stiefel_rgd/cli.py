@@ -210,7 +210,14 @@ def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
             f"field 'model.n_orbitals': {n_orbitals} orbitals need at least as many "
             f"grid unknowns, got {grid.n_dof}"
         )
+    _check_seed(values["seed"], "field 'model.seed'")
     return model, values["seed"]
+
+
+def _check_seed(seed: int, name: str) -> None:
+    """Seeds are non-negative: ``numpy.random.default_rng`` rejects others."""
+    if seed < 0:
+        raise ConfigError(f"{name} has invalid value {seed!r}; need >= 0")
 
 
 def _build_solver(config: dict) -> SolveConfig:
@@ -340,6 +347,8 @@ def run(
 ) -> int:
     """Execute every configured method; exit 0 only if all of them converged."""
     try:
+        if seed is not None:
+            _check_seed(seed, "option '--seed'")
         config = load_config(config_path)
         base_dir = Path(config_path).resolve().parent
         model, config_seed = _build_model(config, base_dir)

@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .directions import EXACT_GRAD, CorrectionWindow, SearchDirection, compute_direction
-from .errors import NumericalError
+from .errors import ConvergenceError, NumericalError, OperatorNotSPDError
 from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
 from .models import EnergyModel, IterateState, a0_norm, energy, multiplier_eigenvalues
@@ -20,6 +20,7 @@ TERMINATION_RESIDUAL = "residual_tol"
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_LINE_SEARCH = "line_search_failure"
 TERMINATION_DEGENERATE = "degenerate_frame"
+TERMINATION_SOLVER = "solver_failure"
 
 # BB denominators below this relative floor fall back to the largest
 # admissible trial step.
@@ -182,9 +183,11 @@ def _descend(
     """The descent loop shared by both drivers.
 
     Each pass evaluates the direction at the current iterate, stops on a
-    degenerate frame, on ``tol`` or at ``max_iter``, and otherwise hands the
-    trial step to ``line_search``: ``fixed_tau`` with ``params`` None, else
-    the alternating BB step (``gamma0`` at the first iterate). It appends one
+    failed Krylov solve of that direction (its record counts the failed
+    solve's steps, when the error reports them), on a degenerate frame, on
+    ``tol`` or at ``max_iter``, and otherwise hands the trial step to
+    ``line_search``: ``fixed_tau`` with ``params`` None, else the
+    alternating BB step (``gamma0`` at the first iterate). It appends one
     IterationRecord per visited iterate, with the step and backtracks that
     left it. ``config`` is the exact gradient's tolerance-mode solver
     config; the inexact and DCM directions run it truncated at
@@ -217,6 +220,10 @@ def _descend(
         grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
         try:
             sd = compute_direction(state, direction_kind, config, truncated, window)
+        except (ConvergenceError, OperatorNotSPDError) as exc:
+            termination = TERMINATION_SOLVER
+            report = getattr(exc, "report", None)
+            inner = report.total_iterations if report is not None else 0
         except NumericalError:
             termination = TERMINATION_DEGENERATE
         else:
@@ -270,9 +277,9 @@ def rgd_fixed_step(
     """Riemannian gradient descent with a constant step size.
 
     Every step is the one untested trial ``line_search`` makes at ``tau``
-    along the exact gradient, so the run ends on ``tol``, at ``max_iter`` or
-    on a degenerate frame, never by a line-search failure; its records carry
-    (c_n, q_n) = (E_n, 1) and 0 backtracks.
+    along the exact gradient, so the run ends on ``tol``, at ``max_iter``, on
+    a failed solve or on a degenerate frame, never by a line-search failure;
+    its records carry (c_n, q_n) = (E_n, 1) and 0 backtracks.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")

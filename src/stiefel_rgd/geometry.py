@@ -1,9 +1,13 @@
-"""Stiefel-manifold geometry: membership tests, tangent projection, retractions.
+"""Stiefel-manifold retractions: polar and modified-Gram-Schmidt qR.
 
-A frame phi is on the manifold when its Gram matrix is the identity; a
-frame eta is tangent at phi when the Gram cross-product is skew-symmetric.
-The tangent projection is orthogonal in the frame-dependent energy metric
-and reduces to a single small Lyapunov solve.
+The descent takes one retraction per trial step. The exact gradient is
+tangent by its closed form ``X G^{-1} - phi`` (``directions._gradient``),
+and the retraction absorbs the normal part of the inexact and DCM
+directions, so the library has no tangent projection. That projection,
+the membership and tangency checks and a Cholesky qR are test oracles
+(``tests/conftest.py``). The config value ``qr_cholesky`` names the one
+qR retraction, as ``qr_mgs`` does, so that configs and callers naming it
+still run.
 
 The polar retraction decomposes its N x N Gram matrix by calling LAPACK
 ``dsyevd`` from ``scipy.linalg.lapack`` directly, as ``models.cholesky_solve``
@@ -15,87 +19,23 @@ numerical notes both gave the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateFrameError, OperatorNotSPDError, RankDeficiencyError
+from .errors import RankDeficiencyError
 from .frames import Frame, multiply_right, outer_product
 from .models import dsyevd  # imported there after scipy.sparse, see models
 
 # Relative eigenvalue threshold below which a Gram matrix counts as rank
 # deficient; matches double-precision conditioning of the square-root and
-# Cholesky steps.
+# Gram-Schmidt steps.
 EPS_RANK = 1e-12
 
 POLAR = "polar"
 QR_MGS = "qr_mgs"
-QR_CHOLESKY = "qr_cholesky"
+QR_CHOLESKY = "qr_cholesky"  # the same retraction as QR_MGS
 RETRACTION_KINDS = (POLAR, QR_MGS, QR_CHOLESKY)
-
-
-@dataclass(frozen=True)
-class TangentCheckReport:
-    skew_defect: float
-    on_manifold_defect: float
-
-    def within(self, tol: float) -> bool:
-        return self.skew_defect <= tol
-
-
-def gram_defect(phi: Frame) -> float:
-    """Frobenius distance of the Gram matrix from the identity."""
-    g = outer_product(phi, phi)
-    return float(np.linalg.norm(g - np.eye(phi.n_orbitals)))
-
-
-def is_on_stiefel(phi: Frame, tol: float) -> bool:
-    return gram_defect(phi) <= tol
-
-
-def is_tangent(phi: Frame, eta: Frame) -> TangentCheckReport:
-    """Report tangency defects; the caller compares ``skew_defect`` with its
-    tolerance, e.g. via ``TangentCheckReport.within``."""
-    skew = outer_product(eta, phi) + outer_product(phi, eta)
-    return TangentCheckReport(
-        skew_defect=float(np.linalg.norm(skew)),
-        on_manifold_defect=gram_defect(phi),
-    )
-
-
-def solve_lyapunov(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve G S + S G = C for symmetric S, with G symmetric positive definite.
-
-    Uses the eigendecomposition of G and componentwise division by the
-    eigenvalue sums, so the residual is at machine-precision level.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d, q = np.linalg.eigh(g)
-    if d.min() <= 0.0:
-        raise OperatorNotSPDError("Lyapunov coefficient matrix is not positive definite")
-    ctil = q.T @ c @ q
-    s = q @ (ctil / (d[:, None] + d[None, :])) @ q.T
-    return 0.5 * (s + s.T)
-
-
-def project_tangent(phi: Frame, v: Frame, a_solve: Callable[[Frame], Frame]) -> Frame:
-    """Metric-orthogonal projection of v onto the tangent space at phi.
-
-    ``a_solve`` applies the inverse of the anchored elliptic operator
-    columnwise. The projection subtracts the normal component X S where
-    X = A^{-1} phi and the symmetric S solves G S + S G = 2 sym([[v, phi]]).
-    """
-    x = a_solve(phi)
-    g = outer_product(phi, x)
-    g = 0.5 * (g + g.T)
-    eigs = np.linalg.eigvalsh(g)
-    if eigs.min() <= 0.0:
-        raise DegenerateFrameError("Gram matrix of A^{-1} phi is not positive definite")
-    vp = outer_product(v, phi)
-    s = solve_lyapunov(g, vp + vp.T)
-    return v - multiply_right(x, s)
 
 
 def _spectral_sqrt_inverse(gram: np.ndarray) -> np.ndarray:
@@ -147,24 +87,11 @@ def retract_qr_mgs(v: Frame) -> Tuple[Frame, np.ndarray]:
     return Frame._wrap(q, v.grid), r
 
 
-def retract_qr_cholesky(phi: Frame, eta: Frame) -> Frame:
-    """qR retraction computed via Cholesky of the Gram matrix ``L L^T``:
-    (phi + eta) times the inverse of the N x N triangular factor ``L^T``,
-    in one matrix product."""
-    moved = phi + eta
-    gram = outer_product(moved, moved)
-    try:
-        lower = np.linalg.cholesky(0.5 * (gram + gram.T))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("Gram matrix is not positive definite") from exc
-    return Frame._wrap(moved.values @ np.linalg.inv(lower).T, moved.grid)
-
-
 def retract(phi: Frame, eta: Frame, kind: str = POLAR) -> Frame:
+    """``phi`` moved along ``eta`` by the retraction ``kind``, one of
+    ``RETRACTION_KINDS``; ``qr_mgs`` and ``qr_cholesky`` name the one qR."""
     if kind == POLAR:
         return retract_polar(phi, eta)
-    if kind == QR_MGS:
+    if kind in (QR_MGS, QR_CHOLESKY):
         return retract_qr_mgs(phi + eta)[0]
-    if kind == QR_CHOLESKY:
-        return retract_qr_cholesky(phi, eta)
     raise ValueError(f"unknown retraction {kind!r}; pick one of {RETRACTION_KINDS}")

@@ -2,24 +2,37 @@
 
 The oracle helpers here deliberately avoid the library code paths they are
 used to check (dense Cholesky solves, stacked saddle-point solves, classical
-Gram-Schmidt, dense eigensolves, double-loop quadrature).
+Gram-Schmidt, dense eigensolves, double-loop quadrature). The geometry
+oracles are the manifold membership test (``is_on_stiefel``, from
+``gram_defect``), the tangency check (``is_tangent``, reporting a
+``TangentCheckReport``), the metric-orthogonal tangent projection
+(``project_tangent``, by the eigenbasis Lyapunov solve ``solve_lyapunov``)
+and the Cholesky qR retraction (``retract_qr_cholesky``), the oracle of the
+library's modified-Gram-Schmidt qR.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from stiefel_rgd import (
+    DegenerateFrameError,
     EnergyModel,
     Frame,
     GridSpec,
+    OperatorNotSPDError,
+    RankDeficiencyError,
     SolveConfig,
     SolveReport,
     directions,
     initial_frame,
+    multiply_right,
+    norm_h,
+    outer_product,
     potential_harmonic,
+    random_frame,
     rgd_fixed_step,
     rgd_line_search,
 )
@@ -104,11 +117,85 @@ def dense_a_solve(model, phi):
     return dense_inverse(DiscreteOperatorA.at(model, phi))
 
 
+@dataclass(frozen=True)
+class TangentCheckReport:
+    skew_defect: float
+    on_manifold_defect: float
+
+    def within(self, tol: float) -> bool:
+        return self.skew_defect <= tol
+
+
+def gram_defect(phi):
+    """Oracle: Frobenius distance of the Gram matrix from the identity."""
+    g = outer_product(phi, phi)
+    return float(np.linalg.norm(g - np.eye(phi.n_orbitals)))
+
+
+def is_on_stiefel(phi, tol):
+    """Oracle: whether phi lies on the manifold, to ``tol`` in ``gram_defect``."""
+    return gram_defect(phi) <= tol
+
+
+def is_tangent(phi, eta):
+    """Oracle: the tangency defects of eta at phi; the caller compares
+    ``skew_defect`` with its tolerance, e.g. via ``TangentCheckReport.within``."""
+    skew = outer_product(eta, phi) + outer_product(phi, eta)
+    return TangentCheckReport(
+        skew_defect=float(np.linalg.norm(skew)),
+        on_manifold_defect=gram_defect(phi),
+    )
+
+
+def solve_lyapunov(g, c):
+    """Oracle: the symmetric S with G S + S G = C, for symmetric positive
+    definite G, from the eigendecomposition of G and componentwise division
+    by the eigenvalue sums, so the residual is at machine-precision level."""
+    g = np.asarray(g, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    d, q = np.linalg.eigh(g)
+    if d.min() <= 0.0:
+        raise OperatorNotSPDError("Lyapunov coefficient matrix is not positive definite")
+    ctil = q.T @ c @ q
+    s = q @ (ctil / (d[:, None] + d[None, :])) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def project_tangent(phi, v, a_solve):
+    """Oracle: the metric-orthogonal projection of v onto the tangent space
+    at phi.
+
+    ``a_solve`` applies the inverse of the anchored elliptic operator
+    columnwise. The projection subtracts the normal component X S where
+    X = A^{-1} phi and the symmetric S solves G S + S G = 2 sym([[v, phi]]).
+    """
+    x = a_solve(phi)
+    g = outer_product(phi, x)
+    g = 0.5 * (g + g.T)
+    eigs = np.linalg.eigvalsh(g)
+    if eigs.min() <= 0.0:
+        raise DegenerateFrameError("Gram matrix of A^{-1} phi is not positive definite")
+    vp = outer_product(v, phi)
+    s = solve_lyapunov(g, vp + vp.T)
+    return v - multiply_right(x, s)
+
+
+def retract_qr_cholesky(phi, eta):
+    """Oracle: the qR retraction by Cholesky of the Gram matrix ``L L^T``,
+    (phi + eta) times the inverse of the N x N triangular factor ``L^T``,
+    in one matrix product."""
+    moved = phi + eta
+    gram = outer_product(moved, moved)
+    try:
+        lower = np.linalg.cholesky(0.5 * (gram + gram.T))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("Gram matrix is not positive definite") from exc
+    return Frame(moved.values @ np.linalg.inv(lower).T, moved.grid)
+
+
 def random_tangent(model, phi, rng, normalized=False):
     """Tangent vector built from the projection of a Gaussian frame,
     using the exact solver."""
-    from stiefel_rgd import norm_h, project_tangent, random_frame
-
     eta = project_tangent(
         phi, random_frame(phi.grid, phi.n_orbitals, rng), dense_a_solve(model, phi)
     )

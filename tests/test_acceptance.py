@@ -14,11 +14,9 @@ import yaml
 from stiefel_rgd import (
     energy,
     initial_frame,
-    is_on_stiefel,
     norm_h,
     nonmonotone_update,
     outer_product,
-    project_tangent,
     random_frame,
     retract,
     retract_polar,
@@ -37,7 +35,9 @@ from conftest import (
     RUN_TOL,
     dense_a_solve,
     dense_lowest_eigenpairs,
+    is_on_stiefel,
     make_model,
+    project_tangent,
     random_tangent,
     saddle_projection_oracle,
 )

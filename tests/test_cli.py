@@ -184,6 +184,25 @@ class TestSolveCommand:
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_NUMERICAL
 
+    def test_failed_krylov_solve_reported_as_solver_failure(self, tmp_path, capsys):
+        # One unpreconditioned CG step cannot reach rel_tol on either column,
+        # so the first exact gradient's solve raises ConvergenceError.
+        config = base_config(
+            methods=[{"name": "rgd_ls"}],
+            solver={"max_iters": 1, "preconditioner": "none"},
+        )
+        config["model"].update(grid_points=64, kappa=10.0, seed=0,
+                               potential={"kind": "harmonic", "omega": 10.0})
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        assert "run did not converge: solver_failure" in capsys.readouterr().err
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert "termination: solver_failure" in summary
+        assert "iterations: 0" in summary
+        assert "total_inner_iterations: 2" in summary
+        rows = (tmp_path / "out" / "rgd_ls.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[6] == "2"
+
     def test_non_finite_solve_exits_numerical(self, tmp_path, monkeypatch, capsys):
         calls = poison_solve(monkeypatch, at_call=3)
         path = write_config(tmp_path, base_config())
@@ -356,6 +375,23 @@ class TestConfigValidation:
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert f"'methods[1].{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_negative_model_seed_rejected(self, tmp_path, capsys):
+        config = base_config()
+        config["model"]["seed"] = -3
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert ("field 'model.seed' has invalid value -3; need >= 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_option_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["solve", str(path), "--seed", "-1"]) == EXIT_CONFIG
+        assert ("option '--seed' has invalid value -1; need >= 0"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,6 @@ from stiefel_rgd import (
     diagnostics_a2_a3,
     energy,
     initial_frame,
-    is_on_stiefel,
     nonmonotone_update,
     norm_h,
     rgd_fixed_step,
@@ -20,12 +19,14 @@ from stiefel_rgd.descent import (
     TERMINATION_LINE_SEARCH,
     TERMINATION_MAX_ITER,
     TERMINATION_RESIDUAL,
+    TERMINATION_SOLVER,
     LineSearchFailure,
     bb_trial_step,
     line_search,
 )
-from stiefel_rgd import descent
+from stiefel_rgd import descent, solvers
 from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD, compute_direction
+from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState
@@ -38,6 +39,8 @@ from conftest import (
     dense_inverse,
     dense_lowest_eigenpairs,
     force_discards,
+    is_on_stiefel,
+    is_tangent,
     make_model,
     poison_solve,
     reference_solver_config,
@@ -337,6 +340,31 @@ class TestLineSearchRuns:
         assert run.termination == TERMINATION_DEGENERATE
         assert run.line_search_failure is None
 
+    def test_failed_solve_reported_as_solver_failure(self, monkeypatch):
+        # The third Krylov solve, that of the third DCM direction, meets
+        # negative curvature: the run ends at that iterate, whose record
+        # counts no Krylov steps, as the error reports none.
+        pcg = solvers._pcg
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise OperatorNotSPDError("CG detected non-positive curvature")
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_pcg", failing)
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=3)
+        run = rgd_line_search(model, initial_frame(model.grid, 3, 3), direction_kind=DCM,
+                              solver_config=reference_solver_config())
+        assert calls[0] == 3
+        assert not run.converged
+        assert run.termination == TERMINATION_SOLVER
+        assert run.iterations == 2
+        assert run.history[-1].inner_iterations == 0
+        assert all(rec.inner_iterations > 0 for rec in run.history[:-1])
+        assert run.line_search_failure is None
+
     def test_converged_invariant(self, gpe_runs, coupled_runs):
         for runs in (gpe_runs, coupled_runs):
             for run in runs.values():
@@ -412,8 +440,6 @@ class TestDiagnostics:
             assert ratios and np.all(np.isfinite(ratios))
 
     def test_exact_gradient_tangent_on_every_iterate(self, gpe_runs, coupled_runs):
-        from stiefel_rgd import is_tangent
-
         for runs in (gpe_runs, coupled_runs):
             run = runs["rgd_ls"]
             for frame, direction in zip(run.frames, run.directions):

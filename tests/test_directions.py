@@ -15,7 +15,6 @@ from stiefel_rgd import (
     inexact_gradient,
     initial_frame,
     inner_h,
-    is_tangent,
     multiply_right,
     norm_h,
     outer_product,
@@ -36,7 +35,7 @@ from stiefel_rgd.directions import (
     compute_direction,
     recycled_start,
 )
-from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs, solve_lyapunov
+from stiefel_rgd.geometry import retract, retract_polar, retract_qr_mgs
 from stiefel_rgd.models import csr_product
 
 from conftest import (
@@ -45,9 +44,12 @@ from conftest import (
     dense_a_solve,
     dense_lowest_eigenpairs,
     force_discards,
+    is_tangent,
     make_model,
+    project_tangent,
     random_tangent,
     reference_solver_config,
+    solve_lyapunov,
     truncated,
 )
 
@@ -78,6 +80,17 @@ class TestExactGradient:
     def test_tangency(self, model, phi):
         sd = riemannian_gradient(IterateState.at(model, phi), DIRECT)
         assert is_tangent(phi, sd.direction).skew_defect <= 1e-10
+
+    @pytest.mark.parametrize("dimension, n, n_orbitals", [(1, 64, 1), (1, 64, 3), (2, 12, 3)])
+    def test_matches_projection_oracle(self, dimension, n, n_orbitals):
+        # The closed form X G^{-1} - phi is the negative metric projection of
+        # phi itself onto the tangent space, here from the Lyapunov oracle.
+        model = make_model(n=n, length=1.0, omega=8.0, kappa=20.0, n_orbitals=n_orbitals,
+                           dimension=dimension)
+        phi = initial_frame(model.grid, n_orbitals, 5)
+        sd = riemannian_gradient(IterateState.at(model, phi), DIRECT)
+        oracle = -project_tangent(phi, phi, dense_a_solve(model, phi))
+        assert norm_h(sd.direction - oracle) <= 1e-10 * norm_h(oracle)
 
     def test_single_orbital_saddle_cross_check(self, rng):
         model = make_model(n=64, length=1.0, omega=10.0, kappa=50.0, n_orbitals=1)

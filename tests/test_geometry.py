@@ -1,4 +1,7 @@
-"""Manifold membership, the tangent projection, and the three retractions."""
+"""The library's retractions, polar and modified-Gram-Schmidt qR, against
+the oracles of ``conftest``: the membership and tangency checks, the
+tangent projection with its Lyapunov solve, and the Cholesky qR, each
+tested here as an oracle in its own right."""
 
 import numpy as np
 import pytest
@@ -9,18 +12,13 @@ from stiefel_rgd import (
     Frame,
     GridSpec,
     RankDeficiencyError,
-    is_on_stiefel,
-    is_tangent,
     multiply_right,
     norm_h,
     outer_product,
-    project_tangent,
     random_frame,
     retract,
     retract_polar,
-    retract_qr_cholesky,
     retract_qr_mgs,
-    solve_lyapunov,
 )
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.geometry import RETRACTION_KINDS
@@ -29,9 +27,14 @@ from stiefel_rgd.models import DiscreteOperatorA
 from conftest import (
     classical_gram_schmidt,
     dense_a_solve,
+    is_on_stiefel,
+    is_tangent,
     make_model,
+    project_tangent,
     random_tangent,
+    retract_qr_cholesky,
     saddle_projection_oracle,
+    solve_lyapunov,
 )
 
 
@@ -242,7 +245,12 @@ class TestCholeskyRetraction:
         eta = random_tangent(m1, u, rng)
         assert norm_h(retract_qr_cholesky(u, eta) - retract_polar(u, eta)) <= 1e-12
 
-    def test_matches_mgs_route(self, model, phi, rng):
+    @pytest.mark.parametrize("dimension, n", [(1, 32), (2, 12)])
+    def test_matches_mgs_route(self, rng, dimension, n):
+        # The oracle against the library's one qR.
+        model = make_model(n=n, length=1.0, omega=8.0, kappa=5.0, n_orbitals=2,
+                           dimension=dimension)
+        phi, _ = retract_qr_mgs(random_frame(model.grid, 2, rng))
         eta = random_tangent(model, phi, rng)
         mgs, _ = retract_qr_mgs(phi + eta)
         assert norm_h(retract_qr_cholesky(phi, eta) - mgs) <= 1e-10
@@ -278,6 +286,15 @@ class TestRetractionAxioms:
                 retract(phi, t * eta, kind) - retract(phi, (-t) * eta, kind)
             )
             assert norm_h(fd - eta) <= 1e-6
+
+    @pytest.mark.parametrize("dimension, n", [(1, 32), (2, 12)])
+    def test_cholesky_name_is_the_mgs_retraction(self, rng, dimension, n):
+        model = make_model(n=n, length=1.0, omega=8.0, kappa=5.0, n_orbitals=3,
+                           dimension=dimension)
+        phi, _ = retract_qr_mgs(random_frame(model.grid, 3, rng))
+        eta = random_tangent(model, phi, rng)
+        assert np.array_equal(retract(phi, eta, "qr_cholesky").values,
+                              retract(phi, eta, "qr_mgs").values)
 
     def test_unknown_kind_rejected(self, phi):
         with pytest.raises(ValueError):
