@@ -42,7 +42,6 @@ from .models import (
 )
 from .solvers import SolveConfig
 
-METHOD_NAMES = ("rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm")
 ORACLE_LIMIT = 8192  # largest n_dof the oracle's dense eigensolve accepts
 
 EXIT_OK = 0
@@ -73,26 +72,28 @@ POTENTIALS = {  # the keys of 'model.potential' besides 'kind', per kind
     "well": {"depth": float, "width": float, "center": None},
     "file": {"path": str},
 }
-METHOD = {
-    "name": str, "retraction": RETRACTION_KINDS, "tau": 0.1, "fixed_iters": 3, "tol": 1e-6,
-    "max_iter": 2000,
-    **{f.name: f.default for f in dataclasses.fields(LineSearchParams)},
+COMMON = {"name": str, "retraction": RETRACTION_KINDS, "tol": 1e-6, "max_iter": 2000}
+LINE_SEARCH = {**COMMON, **{f.name: f.default for f in dataclasses.fields(LineSearchParams)}}
+METHODS = {  # the keys of a method entry, per method: only those its method reads
+    "rgd_fixed": {**COMMON, "tau": 0.1}, "rgd_ls": LINE_SEARCH,
+    "rgd_ls_inexact": {**LINE_SEARCH, "fixed_iters": 3}, "dcm": {**LINE_SEARCH, "fixed_iters": 3},
 }
-SOLVER = {  # 'fixed_iters' is set by each method, not by the solver section
+METHOD_NAMES = tuple(METHODS)
+SOLVER = {  # 'fixed_iters' is set by a method entry, not by the solver section
     "method": ("krylov_cg",),
     **{f.name: f.default for f in dataclasses.fields(SolveConfig) if f.name != "fixed_iters"},
 }
 OUTPUT = {"directory": "out", "csv": True, "summary": True}
 
 
-def _read(section, path: str, fields: dict) -> dict:
+def _read(section, path: str, fields: dict, owner: str = "") -> dict:
     """The values of ``section``, the mapping at ``path`` ('' for the root),
     read by the table ``fields``: every key of the table, each with its
-    default when absent. A key not in the table is a config error. An
-    absent or empty top-level section reads as an empty mapping; the error
-    for one that is not a mapping calls ``path`` a section, a method entry
-    or a field by its form."""
-    noun = "entry" if path.endswith("]") else "field" if "." in path else "section"
+    default when absent. A key not in the table is a config error, whose
+    message ends with ``owner``. An absent or empty top-level section reads
+    as an empty mapping; the error for one that is not a mapping calls
+    ``path`` a section or a field by its form."""
+    noun = "field" if "." in path else "section"
     if section is None and noun == "section":
         section = {}
     if not isinstance(section, dict):
@@ -100,7 +101,7 @@ def _read(section, path: str, fields: dict) -> dict:
     for key in section:
         if key not in fields:
             name = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key '{name}'")
+            raise ConfigError(f"unknown key '{name}'{owner}")
     return {key: _value(section, path, key, default) for key, default in fields.items()}
 
 
@@ -232,16 +233,19 @@ def _parse_methods(config: dict) -> list:
     seen = set()
     for i, entry in enumerate(entries):
         path = f"methods[{i}]"
-        spec = _read(entry, path, METHOD)
-        name = spec["name"]
+        if not isinstance(entry, dict):
+            raise ConfigError(f"entry '{path}' must be a mapping")
+        name = _value(entry, path, "name", str)
         if name not in METHOD_NAMES:
             raise ConfigError(f"field '{path}.name' has unknown value {name!r}")
         if name in seen:
             raise ConfigError(f"field '{path}.name': duplicate method {name!r}")
         seen.add(name)
-        # Checked here, so that no method runs on a config that a later one rejects.
-        for key, valid, need in (("tau", spec["tau"] > 0.0, "> 0"),
-                                 ("fixed_iters", spec["fixed_iters"] >= 1, ">= 1"),
+        spec = _read(entry, path, METHODS[name], f" for method {name!r}")
+        # Checked here, so that no method runs on a config that a later one
+        # rejects; a key its method's table lacks passes.
+        for key, valid, need in (("tau", spec.get("tau", 1.0) > 0.0, "> 0"),
+                                 ("fixed_iters", spec.get("fixed_iters", 1) >= 1, ">= 1"),
                                  ("max_iter", spec["max_iter"] >= 0, ">= 0")):
             if not valid:
                 raise ConfigError(
@@ -280,11 +284,10 @@ def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult
     name = spec["name"]
     if name == "rgd_fixed":
         return rgd_fixed_step(model, phi0, spec["tau"], **common)
+    if "fixed_iters" in spec:  # rgd_ls reads no inner budget
+        common["fixed_iters"] = spec["fixed_iters"]
     kind = {"rgd_ls": EXACT_GRAD, "rgd_ls_inexact": INEXACT_GRAD, "dcm": DCM}[name]
-    return rgd_line_search(
-        model, phi0, params=spec["params"], direction_kind=kind,
-        fixed_iters=spec["fixed_iters"], **common,
-    )
+    return rgd_line_search(model, phi0, params=spec["params"], direction_kind=kind, **common)
 
 
 def _write_lines(path: Path, lines) -> None:

@@ -91,7 +91,6 @@ class RunResult:
     converged: bool
     termination: str
     frames: Optional[List[Frame]] = None
-    directions: Optional[List[Frame]] = None
     line_search_failure: Optional[LineSearchFailure] = None
 
     @property
@@ -203,7 +202,6 @@ def _descend(
         raise ValueError("max_iter must be non-negative")
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
-    directions: Optional[List[Frame]] = [] if log_frames else None
     truncated = replace(config, fixed_iters=fixed_iters)
     window = (CorrectionWindow(phi0.grid.n_dof, phi0.n_orbitals)
               if direction_kind == EXACT_GRAD else None)
@@ -229,8 +227,6 @@ def _descend(
         else:
             grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
             inner = sd.inner_effort
-            if directions is not None:
-                directions.append(sd.direction)
             termination = (TERMINATION_RESIDUAL if state.res_norm <= tol
                            else TERMINATION_MAX_ITER if n == max_iter else None)
         if termination is None:
@@ -253,7 +249,7 @@ def _descend(
         if termination is not None:
             return RunResult(state.phi, multiplier_eigenvalues(model, state.lam), history,
                              termination == TERMINATION_RESIDUAL, termination, frames,
-                             directions, failure)
+                             failure)
 
         prev_phi, prev_eta, state = state.phi, sd, accepted
         if params is None:

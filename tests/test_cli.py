@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, exit codes, CSV/summary artifacts."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,22 @@ from stiefel_rgd.cli import (
 )
 
 from conftest import poison_solve
+
+LINE_SEARCH_KEYS = ("alpha", "beta", "delta", "gamma_min", "gamma_max", "gamma0",
+                    "max_backtracks")
+# The keys each method entry reads besides name, retraction, tol and max_iter.
+METHOD_KEYS = {
+    "rgd_fixed": ("tau",),
+    "rgd_ls": LINE_SEARCH_KEYS,
+    "rgd_ls_inexact": LINE_SEARCH_KEYS + ("fixed_iters",),
+    "dcm": LINE_SEARCH_KEYS + ("fixed_iters",),
+}
+# A value in range for each of those keys.
+VALID = {"tau": 0.5, "fixed_iters": 10, "alpha": 0.9, "beta": 1e-3, "delta": 0.5,
+         "gamma_min": 1e-4, "gamma_max": 1.0, "gamma0": 1e-2, "max_backtracks": 20}
+# Each (method, key) pair where only another method reads the key.
+FOREIGN_KEYS = [(method, key) for method, keys in METHOD_KEYS.items()
+                for key in VALID if key not in keys]
 
 
 def base_config(**overrides):
@@ -147,6 +164,29 @@ class TestSolveCommand:
         diag = (tmp_path / "out" / "rgd_fixed_diagnostics.csv").read_text().splitlines()
         assert diag[0] == "iter,r2,r3"
         assert len(diag) >= 2
+
+    @pytest.mark.parametrize("switch, kept", [("csv", "summary.txt"), ("summary", "rgd_ls.csv")])
+    def test_output_switch_suppresses_only_its_file(self, tmp_path, switch, kept):
+        config = base_config()
+        config["output"][switch] = False
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path), "--log-frames"]) == EXIT_OK
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted([kept, "rgd_ls_diagnostics.csv"])
+
+    @pytest.mark.parametrize("log_frames", [True, False], ids=["log-frames", "no-log-frames"])
+    @pytest.mark.parametrize("max_iter, code", [(500, EXIT_OK), (3, EXIT_NUMERICAL)],
+                             ids=["converged", "not-converged"])
+    def test_both_output_switches_off(self, tmp_path, log_frames, max_iter, code):
+        # The exit code still follows convergence; --log-frames still writes
+        # its diagnostics, and nothing else is written.
+        config = base_config(methods=[{"name": "rgd_ls", "tol": 1e-6, "max_iter": max_iter}],
+                             output={"csv": False, "summary": False})
+        path = write_config(tmp_path, config)
+        argv = ["solve", str(path)] + (["--log-frames"] if log_frames else [])
+        assert main(argv) == code
+        written = [p.name for p in (tmp_path / "out").iterdir()]
+        assert written == (["rgd_ls_diagnostics.csv"] if log_frames else [])
 
     def test_flags_do_not_carry_over_to_the_next_call(self, tmp_path):
         """The parser is built once per process; each call parses afresh."""
@@ -286,7 +326,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", ["fixed_iters", "tau"])
     def test_boolean_method_number_rejected(self, tmp_path, capsys, key):
-        config = base_config(methods=[{"name": "rgd_ls_inexact", key: True}])
+        method = "rgd_fixed" if key == "tau" else "rgd_ls_inexact"
+        config = base_config(methods=[{"name": method, key: True}])
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert f"'methods[0].{key}'" in capsys.readouterr().err
@@ -371,12 +412,22 @@ class TestConfigValidation:
     def test_method_value_out_of_range_rejected_before_any_run(
             self, tmp_path, capsys, key, value):
         # The second entry is rejected before the first runs and writes its CSV.
-        config = base_config(methods=[{"name": "rgd_ls"}, {"name": "dcm", key: value}])
+        method = "rgd_fixed" if key == "tau" else "dcm"
+        config = base_config(methods=[{"name": "rgd_ls"}, {"name": method, key: value}])
         path = write_config(tmp_path, config)
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert f"'methods[1].{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, key", FOREIGN_KEYS)
+    def test_key_of_another_method_rejected(self, tmp_path, capsys, method, key):
+        # A key the entry's method never reads would run silently ignored.
+        config = base_config(methods=[{"name": method, key: VALID[key]}])
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert (f"unknown key 'methods[0].{key}' for method '{method}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_negative_model_seed_rejected(self, tmp_path, capsys):
         config = base_config()
@@ -419,6 +470,18 @@ class TestConfigDefaults:
     def test_empty_method_entry_parses_to_default_line_search(self):
         methods = _parse_methods({"methods": [{"name": "rgd_ls"}]})
         assert methods[0]["params"] == LineSearchParams()
+
+    @pytest.mark.parametrize("method", METHOD_KEYS)
+    def test_method_entry_reads_its_keys_with_their_defaults(self, method):
+        defaults = {"retraction": "polar", "tol": 1e-6, "max_iter": 2000, "tau": 0.1,
+                    "fixed_iters": 3, **dataclasses.asdict(LineSearchParams())}
+        keys = ("retraction", "tol", "max_iter") + METHOD_KEYS[method]
+        spec = _parse_methods({"methods": [{"name": method}]})[0]
+        assert spec == {"name": method, "params": LineSearchParams(),
+                        **{key: defaults[key] for key in keys}}
+        entry = {"name": method, **{key: VALID[key] for key in METHOD_KEYS[method]}}
+        spec = _parse_methods({"methods": [entry]})[0]
+        assert all(spec[key] == VALID[key] for key in METHOD_KEYS[method])
 
     def test_method_entry_overrides_only_its_fields(self):
         entry = {"name": "dcm", "beta": 0.25, "max_backtracks": 3}

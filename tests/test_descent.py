@@ -439,10 +439,23 @@ class TestDiagnostics:
             ]
             assert ratios and np.all(np.isfinite(ratios))
 
-    def test_exact_gradient_tangent_on_every_iterate(self, gpe_runs, coupled_runs):
-        for runs in (gpe_runs, coupled_runs):
-            run = runs["rgd_ls"]
-            for frame, direction in zip(run.frames, run.directions):
+    def test_exact_gradient_tangent_on_every_iterate(
+            self, gpe_model, gpe_start, coupled_model, coupled_start, monkeypatch):
+        pairs = []
+        compute = descent.compute_direction
+
+        def recording_compute(state, kind, config, truncated, window=None):
+            sd = compute(state, kind, config, truncated, window)
+            pairs.append((state.phi, sd.direction))
+            return sd
+
+        monkeypatch.setattr(descent, "compute_direction", recording_compute)
+        for model, phi0 in ((gpe_model, gpe_start), (coupled_model, coupled_start)):
+            pairs.clear()
+            run = rgd_line_search(model, phi0, tol=RUN_TOL, max_iter=2000,
+                                  solver_config=reference_solver_config())
+            assert run.converged and len(pairs) == len(run.history)
+            for frame, direction in pairs:
                 # ten times the 1e-8 inner-solve tolerance
                 assert is_tangent(frame, direction).skew_defect <= 1e-7
 
