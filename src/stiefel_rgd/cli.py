@@ -27,7 +27,7 @@ from .descent import (
     rgd_fixed_step,
     rgd_line_search,
 )
-from .directions import DCM, EXACT_GRAD, INEXACT_GRAD
+from .directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD
 from .errors import ConfigError, NumericalError
 from .frames import DIRICHLET, GridSpec, PERIODIC
 from .geometry import RETRACTION_KINDS
@@ -76,7 +76,8 @@ COMMON = {"name": str, "retraction": RETRACTION_KINDS, "tol": 1e-6, "max_iter": 
 LINE_SEARCH = {**COMMON, **{f.name: f.default for f in dataclasses.fields(LineSearchParams)}}
 METHODS = {  # the keys of a method entry, per method: only those its method reads
     "rgd_fixed": {**COMMON, "tau": 0.1}, "rgd_ls": LINE_SEARCH,
-    "rgd_ls_inexact": {**LINE_SEARCH, "fixed_iters": 3}, "dcm": {**LINE_SEARCH, "fixed_iters": 3},
+    "rgd_ls_inexact": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
+    "dcm": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
 }
 METHOD_NAMES = tuple(METHODS)
 SOLVER = {  # 'fixed_iters' is set by a method entry, not by the solver section
@@ -250,7 +251,8 @@ def _parse_methods(config: dict) -> list:
             if not valid:
                 raise ConfigError(
                     f"field '{path}.{key}' has invalid value {spec[key]!r}; need {need}")
-        spec["params"] = _build(LineSearchParams, spec, path)
+        if name != "rgd_fixed":  # the line-search methods
+            spec["params"] = _build(LineSearchParams, spec, path)
         methods.append(spec)
     return methods
 
@@ -274,18 +276,13 @@ def load_config(config_path) -> dict:
 
 
 def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult:
-    common = dict(
-        retraction=spec["retraction"],
-        tol=spec["tol"],
-        max_iter=spec["max_iter"],
-        solver_config=solver_config,
-        log_frames=log_frames,
-    )
+    if "fixed_iters" in spec:  # the inner budget of rgd_ls_inexact and dcm
+        solver_config = dataclasses.replace(solver_config, fixed_iters=spec["fixed_iters"])
+    common = dict(retraction=spec["retraction"], tol=spec["tol"], max_iter=spec["max_iter"],
+                  solver_config=solver_config, log_frames=log_frames)
     name = spec["name"]
     if name == "rgd_fixed":
         return rgd_fixed_step(model, phi0, spec["tau"], **common)
-    if "fixed_iters" in spec:  # rgd_ls reads no inner budget
-        common["fixed_iters"] = spec["fixed_iters"]
     kind = {"rgd_ls": EXACT_GRAD, "rgd_ls_inexact": INEXACT_GRAD, "dcm": DCM}[name]
     return rgd_line_search(model, phi0, params=spec["params"], direction_kind=kind, **common)
 

@@ -9,7 +9,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .directions import EXACT_GRAD, CorrectionWindow, SearchDirection, compute_direction
+from .directions import (EXACT_GRAD, FIXED_ITERS, CorrectionWindow, SearchDirection,
+                         compute_direction)
 from .errors import ConvergenceError, NumericalError, OperatorNotSPDError
 from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
@@ -176,21 +177,21 @@ def _descend(
     tol: float,
     max_iter: int,
     config: SolveConfig,
-    fixed_iters: int,
     log_frames: bool,
 ) -> RunResult:
     """The descent loop shared by both drivers.
 
-    Each pass evaluates the direction at the current iterate, stops on a
-    failed Krylov solve of that direction (its record counts the failed
-    solve's steps, when the error reports them), on a degenerate frame, on
-    ``tol`` or at ``max_iter``, and otherwise hands the trial step to
+    Each pass evaluates the direction at the current iterate, stops on
+    ``tol`` (whether or not that direction was found), on a failed Krylov
+    solve of the direction (its record counts the failed solve's steps,
+    when the error reports them), on a degenerate frame or at
+    ``max_iter``, and otherwise hands the trial step to
     ``line_search``: ``fixed_tau`` with ``params`` None, else the
     alternating BB step (``gamma0`` at the first iterate). It appends one
     IterationRecord per visited iterate, with the step and backtracks that
-    left it. ``config`` is the exact gradient's tolerance-mode solver
-    config; the inexact and DCM directions run it truncated at
-    ``fixed_iters`` steps, a config built once here. An exact-gradient run
+    left it. Every direction solves with ``config``, except that an
+    inexact or DCM run given a tolerance-mode config truncates it at
+    ``FIXED_ITERS`` steps, a copy built once here. An exact-gradient run
     also builds here the one ``CorrectionWindow`` that every exact gradient
     projects its start onto and pushes its correction into; the other kinds
     get none. With a fixed step the reference pair stays
@@ -202,7 +203,8 @@ def _descend(
         raise ValueError("max_iter must be non-negative")
     history: List[IterationRecord] = []
     frames: Optional[List[Frame]] = [] if log_frames else None
-    truncated = replace(config, fixed_iters=fixed_iters)
+    if direction_kind != EXACT_GRAD and config.fixed_iters is None:
+        config = replace(config, fixed_iters=FIXED_ITERS)
     window = (CorrectionWindow(phi0.grid.n_dof, phi0.n_orbitals)
               if direction_kind == EXACT_GRAD else None)
     rho = density(phi0)
@@ -217,7 +219,7 @@ def _descend(
             frames.append(state.phi)
         grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
         try:
-            sd = compute_direction(state, direction_kind, config, truncated, window)
+            sd = compute_direction(state, direction_kind, config, window)
         except (ConvergenceError, OperatorNotSPDError) as exc:
             termination = TERMINATION_SOLVER
             report = getattr(exc, "report", None)
@@ -227,8 +229,9 @@ def _descend(
         else:
             grad_norm = float(np.sqrt(max(sd.gram_of_direction, 0.0)))
             inner = sd.inner_effort
-            termination = (TERMINATION_RESIDUAL if state.res_norm <= tol
-                           else TERMINATION_MAX_ITER if n == max_iter else None)
+            termination = TERMINATION_MAX_ITER if n == max_iter else None
+        if state.res_norm <= tol:
+            termination = TERMINATION_RESIDUAL
         if termination is None:
             if params is None:
                 gamma = fixed_tau
@@ -281,7 +284,7 @@ def rgd_fixed_step(
         raise ValueError("tau must be positive")
     config = solver_config if solver_config is not None else SolveConfig()
     return _descend(model, phi0, None, tau, EXACT_GRAD, retraction,
-                    tol, max_iter, config, 3, log_frames)
+                    tol, max_iter, config, log_frames)
 
 
 def rgd_line_search(
@@ -293,7 +296,6 @@ def rgd_line_search(
     tol: float = 1e-6,
     max_iter: int = 1000,
     solver_config: Optional[SolveConfig] = None,
-    fixed_iters: int = 3,
     log_frames: bool = False,
 ) -> RunResult:
     """Descent with the non-monotone line search and alternating BB steps.
@@ -305,11 +307,14 @@ def rgd_line_search(
     iterate/direction differences. When no trial within ``max_backtracks``
     passes, the run ends with termination ``line_search_failure`` and
     ``RunResult.line_search_failure`` says by how much the last trial missed.
+    ``solver_config.fixed_iters`` is the inner budget of the inexact and
+    DCM directions (``FIXED_ITERS`` when it is None); the exact gradient
+    needs a tolerance-mode config.
     """
     params = params if params is not None else LineSearchParams()
     config = solver_config if solver_config is not None else SolveConfig()
     return _descend(model, phi0, params, None, direction_kind, retraction, tol,
-                    max_iter, config, fixed_iters, log_frames)
+                    max_iter, config, log_frames)
 
 
 def diagnostics_a2_a3(model: EnergyModel, result: RunResult) -> Tuple[np.ndarray, np.ndarray]:

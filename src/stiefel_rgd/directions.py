@@ -16,6 +16,10 @@ EXACT_GRAD = "exact_grad"
 INEXACT_GRAD = "inexact_grad"
 DCM = "dcm"
 
+# Inner CG steps per column of an inexact or DCM direction when the run's
+# solver config sets none (a tolerance-mode config).
+FIXED_ITERS = 3
+
 
 # The exact gradient's start is a Galerkin projection onto the corrections
 # of the last WINDOW exact solves, every column of each. The Galerkin
@@ -268,22 +272,21 @@ def compute_direction(
     state: IterateState,
     kind: str,
     config: SolveConfig,
-    truncated: SolveConfig,
     window: Optional[CorrectionWindow] = None,
 ) -> SearchDirection:
     """The search direction of kind ``kind`` at the evaluated iterate ``state``.
 
-    The exact gradient solves with the tolerance-mode ``config``; the
-    inexact gradient and DCM with ``truncated``, its fixed-iteration
-    counterpart, which the descent driver builds once per run. Only the
-    exact gradient reads ``window``, the run's window of corrections: it
-    projects its start onto it and pushes its own correction into it.
-    Given no window, its solve starts from phi Lambda^{-1}.
+    Every kind solves with ``config``: the exact gradient needs a
+    tolerance-mode config, the inexact gradient and DCM a fixed-iteration
+    one, whose ``fixed_iters`` is their inner budget. Only the exact
+    gradient reads ``window``, the run's window of corrections: it projects
+    its start onto it and pushes its own correction into it. Given no
+    window, its solve starts from phi Lambda^{-1}.
     """
     if kind == EXACT_GRAD:
         return riemannian_gradient(state, config, window)
     if kind == INEXACT_GRAD:
-        return safeguarded_inexact_gradient(state, truncated)
+        return safeguarded_inexact_gradient(state, config)
     if kind == DCM:
-        return dcm_direction(state, truncated)
+        return dcm_direction(state, config)
     raise ValueError(f"unknown direction kind {kind!r}")

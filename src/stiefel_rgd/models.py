@@ -317,9 +317,6 @@ class DiscreteOperatorA:
         """Shifted bilinear form a_phi(v, w) + shift * (v, w)_H."""
         return inner_h(self.apply(v), w)
 
-    def norm_a(self, v: Frame) -> float:
-        return float(np.sqrt(max(self.bilinear(v, v), 0.0)))
-
 
 def a0_form(model: EnergyModel, v: Frame, w: Frame) -> float:
     """Quadratic part of the energy: kinetic stencil plus external potential."""

@@ -8,7 +8,8 @@ oracles are the manifold membership test (``is_on_stiefel``, from
 ``TangentCheckReport``), the metric-orthogonal tangent projection
 (``project_tangent``, by the eigenbasis Lyapunov solve ``solve_lyapunov``)
 and the Cholesky qR retraction (``retract_qr_cholesky``), the oracle of the
-library's modified-Gram-Schmidt qR.
+library's modified-Gram-Schmidt qR. ``a_norm`` is the shifted-form norm of
+an operator, which the retraction bounds are stated in.
 """
 
 from dataclasses import dataclass, replace
@@ -66,6 +67,12 @@ def truncated(config, fixed_iters):
     """``config`` stopped after ``fixed_iters`` Krylov steps, as the inexact
     and DCM directions take it."""
     return replace(config, fixed_iters=fixed_iters)
+
+
+def a_norm(op, v):
+    """The shifted-form norm sqrt(a_phi(v, v) + shift (v, v)_H) of ``op``,
+    with a form that round-off leaves slightly negative read as 0."""
+    return float(np.sqrt(max(op.bilinear(v, v), 0.0)))
 
 
 def dense_inverse(op):
@@ -370,12 +377,12 @@ def _all_method_runs(model, phi0):
             solver_config=config, log_frames=True,
         ),
         "rgd_ls_inexact": rgd_line_search(
-            model, phi0, direction_kind="inexact_grad", fixed_iters=INEXACT_ITERS,
-            tol=RUN_TOL, max_iter=2000, solver_config=config, log_frames=True,
+            model, phi0, direction_kind="inexact_grad", tol=RUN_TOL, max_iter=2000,
+            solver_config=truncated(config, INEXACT_ITERS), log_frames=True,
         ),
         "dcm": rgd_line_search(
-            model, phi0, direction_kind="dcm", fixed_iters=INEXACT_ITERS,
-            tol=RUN_TOL, max_iter=2000, solver_config=config, log_frames=True,
+            model, phi0, direction_kind="dcm", tol=RUN_TOL, max_iter=2000,
+            solver_config=truncated(config, INEXACT_ITERS), log_frames=True,
         ),
     }
     return runs

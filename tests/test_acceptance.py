@@ -33,6 +33,7 @@ from conftest import (
     DIRECT,
     GPE_SPEC,
     RUN_TOL,
+    a_norm,
     dense_a_solve,
     dense_lowest_eigenpairs,
     is_on_stiefel,
@@ -91,10 +92,10 @@ def test_criterion_02_second_order_bounds():
             eta_h = norm_h(eta)
             for t in (0.01, 0.1, 0.5, 1.0):
                 moved = phi + t * eta
-                scale = op.norm_a(moved)
-                polar_gap = op.norm_a(retract_polar(phi, t * eta) - moved)
+                scale = a_norm(op, moved)
+                polar_gap = a_norm(op, retract_polar(phi, t * eta) - moved)
                 assert polar_gap <= t**2 * scale * eta_h**2
-                qr_gap = op.norm_a(retract(phi, t * eta, "qr_mgs") - moved)
+                qr_gap = a_norm(op, retract(phi, t * eta, "qr_mgs") - moved)
                 qr_bound = (
                     t**2 / np.sqrt(2.0)
                     * scale

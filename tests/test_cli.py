@@ -135,6 +135,18 @@ class TestSolveCommand:
         energies = read_summary_energies(out / "summary.txt")
         assert abs(float(energies["rgd_ls"]) - float(energies["dcm"])) <= 1e-7
 
+    def test_method_budget_reaches_every_direction(self, tmp_path):
+        # The entry's fixed_iters, not the library's default of 3, is the
+        # inner budget: 5 steps per orbital on every iterate.
+        config = base_config(methods=[{"name": "dcm", "fixed_iters": 5, "max_iter": 500}])
+        path = write_config(tmp_path, config)
+        assert main(["solve", str(path)]) == EXIT_OK
+        csv = (tmp_path / "out" / "dcm.csv").read_text().splitlines()
+        column = csv[0].split(",").index("inner_iterations")
+        n_orbitals = config["model"]["n_orbitals"]
+        assert len(csv) > 2
+        assert all(int(row.split(",")[column]) == 5 * n_orbitals for row in csv[1:])
+
     def test_determinism_bitwise_summary(self, tmp_path):
         config = base_config()
         path = write_config(tmp_path, config)
@@ -477,8 +489,8 @@ class TestConfigDefaults:
                     "fixed_iters": 3, **dataclasses.asdict(LineSearchParams())}
         keys = ("retraction", "tol", "max_iter") + METHOD_KEYS[method]
         spec = _parse_methods({"methods": [{"name": method}]})[0]
-        assert spec == {"name": method, "params": LineSearchParams(),
-                        **{key: defaults[key] for key in keys}}
+        params = {} if method == "rgd_fixed" else {"params": LineSearchParams()}
+        assert spec == {"name": method, **params, **{key: defaults[key] for key in keys}}
         entry = {"name": method, **{key: VALID[key] for key in METHOD_KEYS[method]}}
         spec = _parse_methods({"methods": [entry]})[0]
         assert all(spec[key] == VALID[key] for key in METHOD_KEYS[method])

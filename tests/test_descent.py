@@ -25,7 +25,7 @@ from stiefel_rgd.descent import (
     line_search,
 )
 from stiefel_rgd import descent, solvers
-from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD, compute_direction
+from stiefel_rgd.directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD, compute_direction
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
@@ -44,7 +44,6 @@ from conftest import (
     make_model,
     poison_solve,
     reference_solver_config,
-    truncated,
 )
 
 # Energy decrements below double-precision evaluation noise cannot be
@@ -187,8 +186,7 @@ class TestLineSearchStep:
         model = make_model(n=48, length=1.0, omega=8.0, kappa=10.0, n_orbitals=2)
         phi = initial_frame(model.grid, 2, 4)
         state = IterateState.at(model, phi, energy(model, phi))
-        sd = compute_direction(state, "exact_grad", reference_solver_config(),
-                               truncated(reference_solver_config(), 3))
+        sd = compute_direction(state, "exact_grad", reference_solver_config())
         return model, state, sd
 
     def test_untested_trial_takes_gamma_with_one_evaluation(self, monkeypatch):
@@ -365,12 +363,56 @@ class TestLineSearchRuns:
         assert all(rec.inner_iterations > 0 for rec in run.history[:-1])
         assert run.line_search_failure is None
 
+    def test_converged_iterate_ends_residual_tol_though_its_solve_fails(
+            self, gpe_model, gpe_runs):
+        # A restart from a converged frame with a one-step budget that no
+        # exact solve meets: the failed direction does not hide that the
+        # frame meets tol, and below its residual the same restart fails.
+        phi = gpe_runs["rgd_ls"].final_frame
+        config = SolveConfig(rel_tol=1e-12, max_iters=1)
+        run = rgd_line_search(gpe_model, phi, tol=RUN_TOL, solver_config=config)
+        assert run.converged and run.termination == TERMINATION_RESIDUAL
+        assert run.iterations == 0 and run.history[0].residual_h_norm <= RUN_TOL
+        assert run.history[0].inner_iterations == 1  # the failed solve's one step
+        assert run.line_search_failure is None
+        tight = rgd_line_search(gpe_model, phi, tol=1e-8, solver_config=config)
+        assert not tight.converged and tight.termination == TERMINATION_SOLVER
+        assert tight.iterations == 0
+
     def test_converged_invariant(self, gpe_runs, coupled_runs):
         for runs in (gpe_runs, coupled_runs):
             for run in runs.values():
                 assert run.termination == TERMINATION_RESIDUAL
                 assert run.history[-1].residual_h_norm <= RUN_TOL
                 assert run.line_search_failure is None
+
+
+class TestInnerBudget:
+    """A run's inexact and DCM directions take ``fixed_iters`` of its solver
+    config as their inner budget, ``FIXED_ITERS`` steps per column when the
+    config is in tolerance mode; an exact run needs a tolerance-mode config."""
+
+    @pytest.mark.parametrize("kind", [INEXACT_GRAD, DCM])
+    @pytest.mark.parametrize("config, budget", [
+        (SolveConfig(fixed_iters=5, preconditioner="kinetic_shift"), 5),
+        (reference_solver_config(), FIXED_ITERS),
+    ], ids=["fixed5", "tolerance"])
+    def test_every_iterate_takes_the_budget(
+            self, coupled_model, coupled_start, kind, config, budget):
+        run = rgd_line_search(coupled_model, coupled_start, direction_kind=kind,
+                              tol=RUN_TOL, solver_config=config)
+        assert run.converged
+        per_iterate = budget * coupled_model.n_orbitals
+        assert [rec.inner_iterations for rec in run.history] == [per_iterate] * len(run.history)
+
+    @pytest.mark.parametrize("driver", ["rgd_fixed_step", "rgd_line_search"])
+    def test_exact_run_rejects_fixed_mode_config(self, gpe_model, gpe_start, driver):
+        config = SolveConfig(fixed_iters=3, preconditioner="kinetic_shift")
+        with pytest.raises(ValueError, match="tolerance-mode"):
+            if driver == "rgd_fixed_step":
+                rgd_fixed_step(gpe_model, gpe_start, FIXED_TAU, solver_config=config)
+            else:
+                rgd_line_search(gpe_model, gpe_start, solver_config=config)
 
 
 class TestDiagnostics:
@@ -444,8 +486,8 @@ class TestDiagnostics:
         pairs = []
         compute = descent.compute_direction
 
-        def recording_compute(state, kind, config, truncated, window=None):
-            sd = compute(state, kind, config, truncated, window)
+        def recording_compute(state, kind, config, window=None):
+            sd = compute(state, kind, config, window)
             pairs.append((state.phi, sd.direction))
             return sd
 
@@ -714,9 +756,9 @@ class TestCorrectionWindowOwnership:
             built.append(window_class(*args))
             return built[-1]
 
-        def recording_compute(state, kind, config, truncated, window=None):
+        def recording_compute(state, kind, config, window=None):
             given.append(window)
-            return compute(state, kind, config, truncated, window)
+            return compute(state, kind, config, window)
 
         monkeypatch.setattr(descent, "CorrectionWindow", counted_window)
         monkeypatch.setattr(descent, "compute_direction", recording_compute)

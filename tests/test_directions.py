@@ -150,7 +150,7 @@ def inexact_2d_run():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(directions, "riemannian_gradient", counted)
         run = rgd_line_search(model, initial_frame(model.grid, 3, 4000),
-                              direction_kind=INEXACT_GRAD, fixed_iters=3, tol=1e-6,
+                              direction_kind=INEXACT_GRAD, tol=1e-6,
                               max_iter=2000, solver_config=reference_solver_config(),
                               log_frames=True)
     return model, run, len(exact_calls)
@@ -412,7 +412,7 @@ class TestRecycledStart:
         monkeypatch.setattr(directions, "solve", recording_solve)
         for kind, guess in ((DCM, None), (INEXACT_GRAD, state.multiplier_warm_start)):
             starts.clear()
-            sd = compute_direction(state, kind, config, truncated(config, 3), window)
+            sd = compute_direction(state, kind, truncated(config, 3), window)
             assert sd.kind == kind and starts == [guess]
             np.testing.assert_array_equal(window.corrections, held)
             np.testing.assert_array_equal(window.gram, gram)
@@ -496,15 +496,15 @@ class TestRecycledStart:
         # Given no window, as after the other kinds of direction, an exact
         # gradient starts from phi Lambda^{-1}, also after an exact one.
         for kind in (DCM, INEXACT_GRAD, EXACT_GRAD):
-            compute_direction(before, kind, config, truncated(config, 3))
+            compute_direction(before, kind, config if kind == EXACT_GRAD else truncated(config, 3))
             starts.clear()
-            compute_direction(state, EXACT_GRAD, config, truncated(config, 3))
+            compute_direction(state, EXACT_GRAD, config)
             assert starts == [state.multiplier_warm_start]
         # The window an exact gradient filled does reach the next start.
         window = CorrectionWindow(model.grid.n_dof, model.n_orbitals)
-        compute_direction(before, EXACT_GRAD, config, truncated(config, 3), window)
+        compute_direction(before, EXACT_GRAD, config, window)
         starts.clear()
-        compute_direction(state, EXACT_GRAD, config, truncated(config, 3), window)
+        compute_direction(state, EXACT_GRAD, config, window)
         assert starts[0] is not state.multiplier_warm_start
 
 
@@ -569,7 +569,6 @@ class TestInexactGradient:
             model,
             initial_frame(model.grid, 1, 7),
             direction_kind=INEXACT_GRAD,
-            fixed_iters=3,
             tol=1e-6,
             max_iter=2000,
             solver_config=reference_solver_config(),
@@ -621,7 +620,6 @@ class TestDcmDirection:
             model,
             initial_frame(model.grid, 1, 7),
             direction_kind="dcm",
-            fixed_iters=3,
             tol=1e-4,
             max_iter=2000,
             solver_config=reference_solver_config(),
