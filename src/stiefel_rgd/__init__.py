@@ -25,7 +25,6 @@ from .errors import (
     DegenerateFrameError,
     NumericalError,
     OperatorNotSPDError,
-    RankDeficiencyError,
     ShapeError,
 )
 from .frames import (
@@ -45,7 +44,6 @@ from .models import (
     EnergyModel,
     IterateState,
     a0_form,
-    a0_norm,
     energy,
     potential_from_file,
     potential_harmonic,

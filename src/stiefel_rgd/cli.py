@@ -33,7 +33,6 @@ from .frames import DIRICHLET, GridSpec, PERIODIC
 from .geometry import RETRACTION_KINDS
 from .models import (
     EnergyModel,
-    linear_part_matrix,
     potential_from_file,
     potential_harmonic,
     potential_well,
@@ -79,7 +78,6 @@ METHODS = {  # the keys of a method entry, per method: only those its method rea
     "rgd_ls_inexact": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
     "dcm": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
 }
-METHOD_NAMES = tuple(METHODS)
 SOLVER = {  # 'fixed_iters' is set by a method entry, not by the solver section
     "method": ("krylov_cg",),
     **{f.name: f.default for f in dataclasses.fields(SolveConfig) if f.name != "fixed_iters"},
@@ -237,7 +235,7 @@ def _parse_methods(config: dict) -> list:
         if not isinstance(entry, dict):
             raise ConfigError(f"entry '{path}' must be a mapping")
         name = _value(entry, path, "name", str)
-        if name not in METHOD_NAMES:
+        if name not in METHODS:
             raise ConfigError(f"field '{path}.name' has unknown value {name!r}")
         if name in seen:
             raise ConfigError(f"field '{path}.name': duplicate method {name!r}")
@@ -273,6 +271,18 @@ def load_config(config_path) -> dict:
         raise ConfigError("config root must be a mapping")
     _read(config, "", SECTIONS)  # rejects an unknown section
     return config
+
+
+def _load(config_path, out_dir: Optional[str]) -> "tuple[dict, EnergyModel, int, dict, Path]":
+    """The config, its model and seed, its output section and the output
+    directory: ``out_dir`` when given, else ``output.directory``, either of
+    them resolved against the config file's folder."""
+    config = load_config(config_path)
+    base_dir = Path(config_path).resolve().parent
+    model, seed = _build_model(config, base_dir)
+    output = _read(config.get("output"), "output", OUTPUT)
+    directory = base_dir / (out_dir if out_dir is not None else output["directory"])
+    return config, model, seed, output, directory
 
 
 def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult:
@@ -349,14 +359,9 @@ def run(
     try:
         if seed is not None:
             _check_seed(seed, "option '--seed'")
-        config = load_config(config_path)
-        base_dir = Path(config_path).resolve().parent
-        model, config_seed = _build_model(config, base_dir)
+        config, model, config_seed, output, directory = _load(config_path, out_dir)
         solver_config = _build_solver(config)
         methods = _parse_methods(config)
-        output = _read(config.get("output"), "output", OUTPUT)
-        # --out-dir replaces output.directory; both resolve against the config's folder.
-        directory = base_dir / (out_dir if out_dir is not None else output["directory"])
         validate_coercivity(model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -399,11 +404,7 @@ def run(
 def oracle(config_path, out_dir: Optional[str] = None) -> int:
     """Dense eigensolve reference for the linear (kappa = 0) problem."""
     try:
-        config = load_config(config_path)
-        base_dir = Path(config_path).resolve().parent
-        model, _ = _build_model(config, base_dir)
-        output = _read(config.get("output"), "output", OUTPUT)
-        directory = base_dir / (out_dir if out_dir is not None else output["directory"])
+        _, model, _, _, directory = _load(config_path, out_dir)
         if model.kappa != 0.0:
             raise ConfigError("oracle is defined only for kappa = 0")
         if model.grid.n_dof > ORACLE_LIMIT:
@@ -414,7 +415,7 @@ def oracle(config_path, out_dir: Optional[str] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    matrix = linear_part_matrix(model).toarray()
+    matrix = model.linear_part.toarray()
     eigenvalues, vectors = np.linalg.eigh(matrix)
     n = model.n_orbitals
     weight = model.grid.weight

@@ -14,7 +14,7 @@ from .directions import (EXACT_GRAD, FIXED_ITERS, CorrectionWindow, SearchDirect
 from .errors import ConvergenceError, NumericalError, OperatorNotSPDError
 from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
-from .models import EnergyModel, IterateState, a0_norm, energy, multiplier_eigenvalues
+from .models import EnergyModel, IterateState, a0_form, energy, multiplier_eigenvalues
 from .solvers import SolveConfig
 
 TERMINATION_RESIDUAL = "residual_tol"
@@ -321,8 +321,11 @@ def diagnostics_a2_a3(model: EnergyModel, result: RunResult) -> Tuple[np.ndarray
     """Per-step descent and step-size ratios from a run with stored frames.
 
     r2(n) = (E_n - E_{n+1}) / (g_n * d_n) and r3(n) = d_n / g_n, with g_n the
-    metric gradient norm and d_n the quadratic-form norm of the iterate
-    difference. Steps with a vanishing gradient norm report NaN.
+    metric gradient norm and d_n the norm of the iterate difference d in the
+    shifted quadratic form a0(d, d) + shift (d, d)_H, which
+    ``validate_coercivity`` certifies positive definite; a0 alone is
+    indefinite where the potential is negative. Steps with a vanishing
+    gradient norm report NaN.
     """
     if result.frames is None or len(result.frames) != len(result.history):
         raise ValueError("diagnostics require a run recorded with log_frames=True")
@@ -334,7 +337,9 @@ def diagnostics_a2_a3(model: EnergyModel, result: RunResult) -> Tuple[np.ndarray
         g = result.history[n].grad_a_norm
         if not np.isfinite(g) or g <= grad_floor:
             continue
-        d = a0_norm(model, result.frames[n + 1] - result.frames[n])
+        diff = result.frames[n + 1] - result.frames[n]
+        d = float(np.sqrt(max(a0_form(model, diff, diff) + model.shift * inner_h(diff, diff),
+                              0.0)))
         decay = result.history[n].energy - result.history[n + 1].energy
         if d > 0.0:
             r2[n] = decay / (g * d)

@@ -19,6 +19,9 @@ DCM = "dcm"
 # Inner CG steps per column of an inexact or DCM direction when the run's
 # solver config sets none (a tolerance-mode config).
 FIXED_ITERS = 3
+# Times the inexact safeguard doubles that budget before it falls back to
+# the exact gradient.
+MAX_DOUBLINGS = 4
 
 
 # The exact gradient's start is a Galerkin projection onto the corrections
@@ -240,17 +243,13 @@ def dcm_direction(state: IterateState, config: SolveConfig) -> SearchDirection:
     )
 
 
-def safeguarded_inexact_gradient(
-    state: IterateState,
-    config: SolveConfig,
-    max_doublings: int = 4,
-) -> SearchDirection:
+def safeguarded_inexact_gradient(state: IterateState, config: SolveConfig) -> SearchDirection:
     """Inexact gradient with a descent safeguard.
 
     The first attempt runs ``config``, a fixed-iteration config. If the
     slope along the retraction ``<r, eta>`` (r the residual) is
     non-negative, the inner iteration count is doubled (up to
-    ``max_doublings`` times); as a last resort the exact gradient is used,
+    ``MAX_DOUBLINGS`` times); as a last resort the exact gradient is used,
     with ``config`` in tolerance mode, started from phi Lambda^{-1} and
     given no window: the next direction is inexact again and would not
     read one. Effort of discarded attempts counts toward the returned
@@ -258,7 +257,7 @@ def safeguarded_inexact_gradient(
     """
     effort = 0
     attempt = config
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         sd = inexact_gradient(state, attempt)
         effort += sd.inner_effort
         if inner_h(state.r, sd.direction) < 0.0:

@@ -12,11 +12,8 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateFrameError(NumericalError):
-    """A Gram matrix that must be positive definite is numerically singular."""
-
-
-class RankDeficiencyError(NumericalError):
-    """A frame scheduled for orthonormalization has (nearly) dependent columns."""
+    """The frame has numerically dependent columns: a retraction found it
+    rank deficient, or a Gram matrix built from it is numerically singular."""
 
 
 class OperatorNotSPDError(NumericalError):

@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import DegenerateFrameError
 from .frames import Frame, multiply_right, outer_product
 from .models import dsyevd  # imported there after scipy.sparse, see models
 
@@ -45,7 +45,7 @@ def _spectral_sqrt_inverse(gram: np.ndarray) -> np.ndarray:
     product only adds exact zeros."""
     d, q, info = dsyevd(gram, lower=1)
     if info != 0 or d[0] <= EPS_RANK * d[-1]:  # d ascends
-        raise RankDeficiencyError("frame is numerically rank deficient")
+        raise DegenerateFrameError("frame is numerically rank deficient")
     return (q * (1.0 / np.sqrt(d))) @ q.T
 
 
@@ -77,7 +77,7 @@ def retract_qr_mgs(v: Frame) -> Tuple[Frame, np.ndarray]:
     for i in range(n):
         rii = float(np.sqrt(weight) * np.linalg.norm(work[:, i]))
         if rii <= floor:
-            raise RankDeficiencyError(f"column {i} became numerically dependent")
+            raise DegenerateFrameError(f"column {i} became numerically dependent")
         r[i, i] = rii
         q[:, i] = work[:, i] / rii
         for j in range(i + 1, n):

@@ -1,8 +1,9 @@
 """Energy functionals and the frame-dependent elliptic operator.
 
 The implemented family couples a kinetic stencil and an external potential
-with a density nonlinearity that is linear in the total density:
-gamma(rho) = kappa * rho. For a single orbital this is the standard cubic
+with a density nonlinearity that is linear in the total density: the
+operator adds kappa * rho to the potential and the energy integrates
+kappa * rho^2 / 2. For a single orbital this is the standard cubic
 Gross-Pitaevskii energy; for several orbitals it is a density-coupled
 multi-orbital model on the Stiefel manifold.
 
@@ -200,24 +201,14 @@ class EnergyModel:
         pot.setflags(write=False)
         object.__setattr__(self, "potential", pot)
 
-    def gamma(self, rho: np.ndarray) -> np.ndarray:
-        return self.kappa * rho
-
-    def gamma_primitive(self, rho: np.ndarray) -> np.ndarray:
-        return 0.5 * self.kappa * rho**2
-
     @cached_property
-    def _linear_part(self) -> sp.csr_matrix:
+    def linear_part(self) -> sp.csr_matrix:
+        """Stencil plus external potential, without nonlinearity or shift.
+
+        Assembled on first use and then kept on the model; callers must not
+        modify the returned matrix.
+        """
         return stencil_plus(self.grid, self.potential)[0]
-
-
-def linear_part_matrix(model: EnergyModel) -> sp.csr_matrix:
-    """Stencil plus external potential, without nonlinearity or shift.
-
-    Assembled on first use and then kept on the model; callers must not
-    modify the returned matrix.
-    """
-    return model._linear_part
 
 
 def validate_coercivity(model: EnergyModel) -> None:
@@ -279,9 +270,9 @@ def _identity(order: int) -> np.ndarray:
 class DiscreteOperatorA:
     """The elliptic operator anchored at a frame, with the coercivity shift.
 
-    ``matrix`` acts columnwise as stencil + V_ext + gamma(rho) + shift and is
-    the H-representative of the (shifted) bilinear form, with gamma(rho)
-    taken at the anchor's density; instances are read-only after ``at``,
+    ``matrix`` acts columnwise as stencil + V_ext + kappa rho + shift and is
+    the H-representative of the (shifted) bilinear form, with rho the
+    anchor's density; instances are read-only after ``at``,
     which takes that density when the caller has it.
     ``diagonal`` is the diagonal of ``matrix``, read-only: ``at`` hands over
     the entries it has just filled, and it is read from ``matrix`` when not
@@ -305,7 +296,7 @@ class DiscreteOperatorA:
         if rho is None:
             rho = density(phi)
         return cls(model, *stencil_plus(
-            model.grid, model.potential + model.gamma(rho) + model.shift))
+            model.grid, model.potential + model.kappa * rho + model.shift))
 
     def apply(self, v: Frame) -> Frame:
         """H-representative of the shifted form applied to each orbital."""
@@ -321,12 +312,8 @@ class DiscreteOperatorA:
 def a0_form(model: EnergyModel, v: Frame, w: Frame) -> float:
     """Quadratic part of the energy: kinetic stencil plus external potential."""
     v._check_same_space(w)
-    lv = csr_product(linear_part_matrix(model), v.values)
+    lv = csr_product(model.linear_part, v.values)
     return model.grid.weight * float(np.vdot(lv, w.values))
-
-
-def a0_norm(model: EnergyModel, v: Frame) -> float:
-    return float(np.sqrt(max(a0_form(model, v, v), 0.0)))
 
 
 def energy(model: EnergyModel, phi: Frame, rho: Optional[np.ndarray] = None) -> float:
@@ -334,7 +321,7 @@ def energy(model: EnergyModel, phi: Frame, rho: Optional[np.ndarray] = None) -> 
     ``rho`` is the density of ``phi`` when the caller has it."""
     if rho is None:
         rho = density(phi)
-    nonlinear = model.grid.weight * float(np.sum(model.gamma_primitive(rho)))
+    nonlinear = model.grid.weight * float(np.sum(0.5 * model.kappa * rho**2))
     return 0.5 * a0_form(model, phi, phi) + 0.5 * nonlinear
 
 

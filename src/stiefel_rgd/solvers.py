@@ -12,11 +12,11 @@ no step copies the block to another layout.
 
 The kinetic-shift preconditioner is the exact inverse of ``laplacian + c
 I``. A tolerance-mode solve takes ``c`` from its operator, the mean of the
-diagonal shift ``V + gamma(rho) + shift`` but at least
+diagonal shift ``V + kappa rho + shift`` but at least
 ``KINETIC_SHIFT_C0``, and builds its map in O(n_dof); a fixed-mode solve
 applies the map of ``c = KINETIC_SHIFT_C0``, built once per grid
-(``_preconditioner_apply`` says why). ``_kinetic_shifts`` describes the
-three implementations.
+(``_preconditioner_apply`` says why). ``_kinetic_shifts`` builds both and
+describes the three implementations.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ PRECONDITIONER_KINETIC_SHIFT = "kinetic_shift"
 PRECONDITIONER_KINDS = (PRECONDITIONER_NONE, PRECONDITIONER_KINETIC_SHIFT)
 
 KINETIC_SHIFT_C0 = 1.0
+
+ColumnMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -98,14 +100,14 @@ class SolveReport:
 
 
 @lru_cache(maxsize=None)
-def _kinetic_shifts(
-    grid: GridSpec,
-) -> Tuple[np.ndarray, Callable[[float], Callable[[np.ndarray], np.ndarray]]]:
+def _kinetic_shifts(grid: GridSpec) -> Tuple[np.ndarray, Callable[[float], ColumnMap], ColumnMap]:
     """The kinetic-shift preconditioners of ``grid``: the diagonal of
-    ``laplacian(grid)``, read-only, and the map ``c -> M_c`` whose ``M_c``
-    is the exact inverse of ``laplacian(grid) + c I``, on one column or an
-    F-ordered block of columns. What does not depend on ``c`` is built here,
-    once per grid; each ``M_c`` costs O(n_dof) to build.
+    ``laplacian(grid)``, read-only, the map ``c -> M_c`` whose ``M_c`` is
+    the exact inverse of ``laplacian(grid) + c I``, on one column or an
+    F-ordered block of columns, and the fixed-mode map ``M_c0`` with ``c0 =
+    KINETIC_SHIFT_C0``. What does not depend on ``c`` is built here, once
+    per grid, and so is ``M_c0``; each other ``M_c`` costs O(n_dof) to
+    build.
 
     - 1D Dirichlet: the operator is tridiagonal. LAPACK ``dpttrf`` factors
       it as L D L^T (one call per ``c``, O(n)), and each application is one
@@ -145,7 +147,7 @@ def _kinetic_shifts(
         w = np.zeros(n)
         w[[0, -1]] = 1.0, -1.0
 
-        def shifted(c: float) -> Callable[[np.ndarray], np.ndarray]:
+        def shifted(c: float) -> ColumnMap:
             d, e, info = dpttrf(tridiagonal + c, off)
             if info != 0:
                 raise OperatorNotSPDError("kinetic-shift operator is not positive definite")
@@ -161,12 +163,12 @@ def _kinetic_shifts(
 
             return kinetic_shift
 
-        return lap_diagonal, shifted
+        return lap_diagonal, shifted, shifted(KINETIC_SHIFT_C0)
     stencil = laplacian(GridSpec(1, n, grid.domain_length, grid.boundary))
     lam, q = np.linalg.eigh(stencil.toarray())
     lam_sum = lam[:, None] + lam[None, :]
 
-    def shifted(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    def shifted(c: float) -> ColumnMap:
         inv = 1.0 / (lam_sum + c)
 
         def kinetic_shift(r: np.ndarray) -> np.ndarray:
@@ -176,38 +178,31 @@ def _kinetic_shifts(
 
         return kinetic_shift
 
-    return lap_diagonal, shifted
-
-
-@lru_cache(maxsize=None)
-def _kinetic_shift(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse of ``laplacian(grid) + c0 I`` with ``c0 =
-    KINETIC_SHIFT_C0`` (see ``_kinetic_shifts``), built once per grid."""
-    return _kinetic_shifts(grid)[1](KINETIC_SHIFT_C0)
+    return lap_diagonal, shifted, shifted(KINETIC_SHIFT_C0)
 
 
 def _preconditioner_apply(
     kind: str, op: DiscreteOperatorA, tolerance_mode: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> ColumnMap:
     """The chosen preconditioner as a map on one column or a block of
     columns: the identity, or a kinetic-shift inverse on the operator's grid.
 
     In tolerance mode (a ``solve`` without ``fixed_iters``) the
     kinetic-shift map is built for ``op``: the inverse of ``laplacian + c
     I``, with ``c`` the mean of the operator's diagonal shift ``V +
-    gamma(rho) + shift``, floored at ``KINETIC_SHIFT_C0``. There the
+    kappa rho + shift``, floored at ``KINETIC_SHIFT_C0``. There the
     preconditioner changes only the cost of a solve, whose answer
-    ``rel_tol`` fixes. Otherwise the map is ``_kinetic_shift`` of the grid,
-    built once: in fixed mode the preconditioner is part of the direction
-    a truncated solve returns, and ``apply_preconditioner`` applies that
-    map too.
+    ``rel_tol`` fixes. Otherwise the map is the fixed-mode map of
+    ``_kinetic_shifts``, built once per grid: in fixed mode the
+    preconditioner is part of the direction a truncated solve returns, and
+    ``apply_preconditioner`` applies that map too.
     """
     if kind == PRECONDITIONER_NONE:
         return lambda r: r
     if kind == PRECONDITIONER_KINETIC_SHIFT:
+        lap_diagonal, shifted, fixed = _kinetic_shifts(op.model.grid)
         if not tolerance_mode:
-            return _kinetic_shift(op.model.grid)
-        lap_diagonal, shifted = _kinetic_shifts(op.model.grid)
+            return fixed
         # The bits of np.mean, without its Python-level wrapper.
         mean_shift = float((op.diagonal - lap_diagonal).sum()) / lap_diagonal.size
         return shifted(max(KINETIC_SHIFT_C0, mean_shift))
@@ -240,7 +235,7 @@ def _pcg(
     matrix: sp.csr_matrix,
     b: np.ndarray,
     x0: Optional[np.ndarray],
-    apply_m: Callable[[np.ndarray], np.ndarray],
+    apply_m: ColumnMap,
     rel_tol: float,
     max_iters: int,
     fixed_iters: Optional[int],

@@ -24,7 +24,6 @@ from stiefel_rgd import (
     Frame,
     GridSpec,
     OperatorNotSPDError,
-    RankDeficiencyError,
     SolveConfig,
     SolveReport,
     directions,
@@ -196,7 +195,7 @@ def retract_qr_cholesky(phi, eta):
     try:
         lower = np.linalg.cholesky(0.5 * (gram + gram.T))
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("Gram matrix is not positive definite") from exc
+        raise DegenerateFrameError("Gram matrix is not positive definite") from exc
     return Frame(moved.values @ np.linalg.inv(lower).T, moved.grid)
 
 
@@ -218,7 +217,7 @@ def force_discards(monkeypatch, discards):
     attempts at the k-th iterate it sees (counting from 0) come back with
     their direction negated when it descends, i.e. with a slope along the
     retraction <r, eta> >= 0, which the safeguard rejects. Their Krylov
-    work is done and counted as usual. A count above ``max_doublings``
+    work is done and counted as usual. A count above ``MAX_DOUBLINGS``
     leads to the exact fallback. Returns the list of (fixed_iters,
     SearchDirection) of every attempt, in call order.
     """
@@ -337,9 +336,7 @@ def classical_gram_schmidt(v):
 
 def dense_lowest_eigenpairs(model, count):
     """Oracle: dense symmetric eigensolve of the linear operator."""
-    from stiefel_rgd.models import linear_part_matrix
-
-    eigenvalues, vectors = np.linalg.eigh(linear_part_matrix(model).toarray())
+    eigenvalues, vectors = np.linalg.eigh(model.linear_part.toarray())
     w = model.grid.weight
     modes = vectors[:, :count] / np.sqrt(w * np.sum(vectors[:, :count] ** 2, axis=0))
     return eigenvalues[:count], Frame(modes, model.grid)

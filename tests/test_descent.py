@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from stiefel_rgd import (
+    EnergyModel,
     Frame,
+    GridSpec,
     LineSearchParams,
     diagnostics_a2_a3,
     energy,
     initial_frame,
     nonmonotone_update,
     norm_h,
+    potential_well,
     rgd_fixed_step,
     rgd_line_search,
 )
@@ -29,7 +32,7 @@ from stiefel_rgd.directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD, c
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
-from stiefel_rgd.models import DiscreteOperatorA, IterateState
+from stiefel_rgd.models import DiscreteOperatorA, IterateState, validate_coercivity
 from stiefel_rgd.solvers import SolveConfig
 
 from conftest import (
@@ -459,6 +462,23 @@ class TestDiagnostics:
         r2, r3 = diagnostics_a2_a3(model, run)
         assert np.isnan(r2[0]) and np.isnan(r3[0])
         assert np.isfinite(r2[1]) and np.isfinite(r3[1])
+
+    def test_step_norms_positive_on_shifted_well(self):
+        # The well makes the unshifted form a0 = L + V indefinite, and this
+        # run's iterate differences have a0(d, d) <= 0 on 768 of its 869
+        # steps; the shifted form that validate_coercivity certifies gives
+        # every step a finite positive d_n. The sign of r2 is not bounded:
+        # near the noise floor, non-monotone steps raise the energy.
+        grid = GridSpec(2, 16, 1.0)
+        model = EnergyModel(grid, potential_well(grid, depth=-500.0, width=0.5),
+                            kappa=100.0, shift=600.0, n_orbitals=4)
+        validate_coercivity(model)
+        run = rgd_line_search(model, initial_frame(grid, 4, 1000), tol=1e-6, max_iter=2000,
+                              solver_config=reference_solver_config(), log_frames=True)
+        r2, r3 = diagnostics_a2_a3(model, run)
+        assert len(r3) > 100
+        assert np.all(np.isfinite(r2))
+        assert np.all(np.isfinite(r3)) and np.all(r3 > 0.0)
 
     def test_other_critical_point_flagged_by_energy_gap(self):
         model = make_model(n=64, length=1.0, omega=6.0, kappa=0.0, n_orbitals=1)

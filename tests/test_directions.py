@@ -641,6 +641,7 @@ class TestDcmDirection:
 
 class TestSafeguard:
     def test_returns_exact_kind_when_doublings_exhausted(self, model, phi, monkeypatch):
+        monkeypatch.setattr(directions, "MAX_DOUBLINGS", 2)
         attempts = force_discards(monkeypatch, lambda k: 3)
         windows = []
         exact = directions.riemannian_gradient
@@ -651,7 +652,7 @@ class TestSafeguard:
 
         monkeypatch.setattr(directions, "riemannian_gradient", recording_exact)
         sd = safeguarded_inexact_gradient(
-            IterateState.at(model, phi), truncated(reference_solver_config(), 3), max_doublings=2
+            IterateState.at(model, phi), truncated(reference_solver_config(), 3)
         )
         assert sd.kind == EXACT_GRAD
         # The next direction is inexact again, so the fallback is given no window.
@@ -664,6 +665,7 @@ class TestSafeguard:
         # allocated for it and no sparse product is spent on one; its solve
         # starts from the guess. Only the descent driver builds windows.
         discards = [3]
+        monkeypatch.setattr(directions, "MAX_DOUBLINGS", 2)
         force_discards(monkeypatch, lambda k: discards[0])
         built, starts, windows = [], [], []
         routed, exact = directions.solve, directions.riemannian_gradient
@@ -679,8 +681,7 @@ class TestSafeguard:
         monkeypatch.setattr(descent, "CorrectionWindow", counted_window)
         monkeypatch.setattr(directions, "solve", recording_solve)
         state = IterateState.at(model, phi)
-        sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3),
-                                          max_doublings=2)
+        sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3))
         assert sd.kind == EXACT_GRAD
         assert starts[-1] is state.multiplier_warm_start
         # Through the driver too: an inexact run whose every direction is
@@ -700,6 +701,7 @@ class TestSafeguard:
         # Accepted after 0, 1 or 2 discards, or exact after all 3 attempts.
         for discards in range(4):
             with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(directions, "MAX_DOUBLINGS", 2)
                 attempts = force_discards(patch, lambda k: discards)
                 fallbacks = []
                 exact = directions.riemannian_gradient
@@ -710,8 +712,7 @@ class TestSafeguard:
 
                 patch.setattr(directions, "riemannian_gradient", recording_exact)
                 sd = safeguarded_inexact_gradient(
-                    IterateState.at(model, phi), truncated(reference_solver_config(), 3),
-                    max_doublings=2,
+                    IterateState.at(model, phi), truncated(reference_solver_config(), 3)
                 )
             assert len(attempts) == min(discards + 1, 3)
             assert len(fallbacks) == (1 if discards == 3 else 0)

@@ -27,7 +27,6 @@ from stiefel_rgd.geometry import retract_qr_mgs
 from stiefel_rgd.models import (
     csr_product,
     laplacian,
-    linear_part_matrix,
     _identity,
     spd_inverse,
     stencil_plus,
@@ -201,7 +200,7 @@ class TestOperator:
         pot = {"harmonic": lambda: potential_harmonic(grid, 10.0),
                "deep_well": lambda: potential_well(grid, depth=-1000.0, width=0.5),
                "shallow_well": lambda: potential_well(grid, depth=-5.0, width=0.3)}[potential]()
-        linear = linear_part_matrix(EnergyModel(grid, pot)).toarray()
+        linear = EnergyModel(grid, pot).linear_part.toarray()
         lam_min = np.linalg.eigvalsh(linear)[0]
         margin = 1e-3 * max(1.0, abs(lam_min))
         shifts = {0.0, 6.0, 1001.0, max(0.0, margin - lam_min),
@@ -268,7 +267,7 @@ class TestOperator:
 
         for potential in (potential_harmonic(grid, 7.0), potential_zero(grid),
                           potential_well(grid, depth=-30.0, width=0.5)):
-            assert_same_csr(linear_part_matrix(EnergyModel(grid, potential)),
+            assert_same_csr(EnergyModel(grid, potential).linear_part,
                             lap + sp.diags(potential, format="csr"))
         matrix, diagonal = stencil_plus(grid, 1.0)
         assert_same_csr(matrix, (lap + sp.identity(grid.n_dof)).tocsr())
@@ -300,11 +299,10 @@ class TestOperator:
         grid = GridSpec(1, 12, 1.0)
         trap = EnergyModel(grid, potential_harmonic(grid, 5.0))
         well = EnergyModel(grid, potential_well(grid, depth=-3.0, width=0.5))
-        assert linear_part_matrix(trap) is linear_part_matrix(trap)
-        assert not np.array_equal(linear_part_matrix(trap).toarray(),
-                                  linear_part_matrix(well).toarray())
+        assert trap.linear_part is trap.linear_part
+        assert not np.array_equal(trap.linear_part.toarray(), well.linear_part.toarray())
         expected = laplacian(grid) + sp.diags(well.potential, format="csr")
-        assert np.array_equal(linear_part_matrix(well).toarray(), expected.toarray())
+        assert np.array_equal(well.linear_part.toarray(), expected.toarray())
 
     def test_unshifted_form_is_first_variation_of_energy(self, rng):
         """a_phi(phi, v) = <A phi - s phi, v> is the ambient derivative of E
@@ -343,7 +341,7 @@ class TestCsrProduct:
             "C column subset": (wide[:, [2 * n_orbitals - 1]], "F"),
             "strided block": (wide[:, ::2], "C"),
         }
-        for matrix in (DiscreteOperatorA.at(model, frame).matrix, linear_part_matrix(model)):
+        for matrix in (DiscreteOperatorA.at(model, frame).matrix, model.linear_part):
             for name, (block, order) in blocks.items():
                 product = csr_product(matrix, block)
                 expected = matrix @ block
@@ -435,7 +433,7 @@ class TestA0Form:
         model = EnergyModel(grid, potential_harmonic(grid, 5.0), n_orbitals=1)
         v = random_frame(grid, 1, rng)
         w = random_frame(grid, 1, rng)
-        dense = linear_part_matrix(model).toarray()
+        dense = model.linear_part.toarray()
         expected = grid.weight * float(w.values[:, 0] @ dense @ v.values[:, 0])
         assert a0_form(model, v, w) == pytest.approx(expected, rel=1e-12)
 
