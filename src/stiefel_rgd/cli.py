@@ -73,10 +73,11 @@ POTENTIALS = {  # the keys of 'model.potential' besides 'kind', per kind
 }
 COMMON = {"name": str, "retraction": RETRACTION_KINDS, "tol": 1e-6, "max_iter": 2000}
 LINE_SEARCH = {**COMMON, **{f.name: f.default for f in dataclasses.fields(LineSearchParams)}}
-METHODS = {  # the keys of a method entry, per method: only those its method reads
-    "rgd_fixed": {**COMMON, "tau": 0.1}, "rgd_ls": LINE_SEARCH,
-    "rgd_ls_inexact": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
-    "dcm": {**LINE_SEARCH, "fixed_iters": FIXED_ITERS},
+METHODS = {  # per method: its direction kind (None for the fixed step) and the
+    # keys of its entry, only those its method reads
+    "rgd_fixed": (None, {**COMMON, "tau": 0.1}), "rgd_ls": (EXACT_GRAD, LINE_SEARCH),
+    "rgd_ls_inexact": (INEXACT_GRAD, {**LINE_SEARCH, "fixed_iters": FIXED_ITERS}),
+    "dcm": (DCM, {**LINE_SEARCH, "fixed_iters": FIXED_ITERS}),
 }
 SOLVER = {  # 'fixed_iters' is set by a method entry, not by the solver section
     "method": ("krylov_cg",),
@@ -183,10 +184,10 @@ def _build_potential(grid: GridSpec, spec, base_dir: Path) -> np.ndarray:
     if kind == "well":
         return potential_well(grid, values["depth"], values["width"],
                               _center(values, grid.dimension))
-    resolved = base_dir / values["path"]  # an absolute path replaces base_dir
-    if not resolved.exists():
-        raise ConfigError(f"field 'model.potential.path': no such file {resolved}")
-    return potential_from_file(grid, resolved)
+    try:
+        return potential_from_file(grid, base_dir / values["path"])  # absolute replaces base_dir
+    except OSError as exc:
+        raise ConfigError(f"field 'model.potential.path': {exc}") from exc
 
 
 def _build_model(config: dict, base_dir: Path) -> "tuple[EnergyModel, int]":
@@ -240,7 +241,8 @@ def _parse_methods(config: dict) -> list:
         if name in seen:
             raise ConfigError(f"field '{path}.name': duplicate method {name!r}")
         seen.add(name)
-        spec = _read(entry, path, METHODS[name], f" for method {name!r}")
+        kind, keys = METHODS[name]
+        spec = _read(entry, path, keys, f" for method {name!r}")
         # Checked here, so that no method runs on a config that a later one
         # rejects; a key its method's table lacks passes.
         for key, valid, need in (("tau", spec.get("tau", 1.0) > 0.0, "> 0"),
@@ -249,7 +251,7 @@ def _parse_methods(config: dict) -> list:
             if not valid:
                 raise ConfigError(
                     f"field '{path}.{key}' has invalid value {spec[key]!r}; need {need}")
-        if name != "rgd_fixed":  # the line-search methods
+        if kind is not None:  # the line-search methods
             spec["params"] = _build(LineSearchParams, spec, path)
         methods.append(spec)
     return methods
@@ -258,12 +260,10 @@ def _parse_methods(config: dict) -> list:
 def load_config(config_path) -> dict:
     """The config mapping, read by libyaml's safe loader when PyYAML was
     built with it (it reads the same YAML about eight times faster) and by
-    the pure-Python one otherwise."""
-    path = Path(config_path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    the pure-Python one otherwise. A path that cannot be read raises its
+    ``OSError``, a file that is not UTF-8 a ``ConfigError``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(config_path, "rb") as handle:
             config = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
@@ -290,10 +290,9 @@ def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult
         solver_config = dataclasses.replace(solver_config, fixed_iters=spec["fixed_iters"])
     common = dict(retraction=spec["retraction"], tol=spec["tol"], max_iter=spec["max_iter"],
                   solver_config=solver_config, log_frames=log_frames)
-    name = spec["name"]
-    if name == "rgd_fixed":
+    kind = METHODS[spec["name"]][0]
+    if kind is None:
         return rgd_fixed_step(model, phi0, spec["tau"], **common)
-    kind = {"rgd_ls": EXACT_GRAD, "rgd_ls_inexact": INEXACT_GRAD, "dcm": DCM}[name]
     return rgd_line_search(model, phi0, params=spec["params"], direction_kind=kind, **common)
 
 
@@ -355,27 +354,23 @@ def run(
     seed: Optional[int] = None,
     log_frames: bool = False,
 ) -> int:
-    """Execute every configured method; exit 0 only if all of them converged."""
-    try:
-        if seed is not None:
-            _check_seed(seed, "option '--seed'")
-        config, model, config_seed, output, directory = _load(config_path, out_dir)
-        solver_config = _build_solver(config)
-        methods = _parse_methods(config)
-        validate_coercivity(model)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    """Execute every configured method; exit 0 only if all of them converged,
+    1 if one failed or did not converge. Before any output, a bad config
+    raises ``ConfigError`` and a model that is not coercive ``NumericalError``;
+    a path that cannot be read or made raises its ``OSError``. ``main``
+    reports each of them."""
+    if seed is not None:
+        _check_seed(seed, "option '--seed'")
+    config, model, config_seed, output, directory = _load(config_path, out_dir)
+    solver_config = _build_solver(config)
+    methods = _parse_methods(config)
+    validate_coercivity(model)
 
     used_seed = seed if seed is not None else config_seed
     directory.mkdir(parents=True, exist_ok=True)
     phi0 = initial_frame(model.grid, model.n_orbitals, used_seed)
 
     blocks = [_model_summary_line(model, used_seed)]
-    all_converged = True
     failure_cause = None
     for spec in methods:
         try:
@@ -391,29 +386,24 @@ def run(
             )
         blocks.append(_summary_block(spec["name"], result))
         if not result.converged:
-            all_converged = False
             failure_cause = result.termination
     if output["summary"]:
         _write_lines(directory / "summary.txt", ["\n\n".join(blocks)])  # blank line between blocks
-    if not all_converged:
+    if failure_cause is not None:
         print(f"run did not converge: {failure_cause}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def oracle(config_path, out_dir: Optional[str] = None) -> int:
-    """Dense eigensolve reference for the linear (kappa = 0) problem."""
-    try:
-        _, model, _, _, directory = _load(config_path, out_dir)
-        if model.kappa != 0.0:
-            raise ConfigError("oracle is defined only for kappa = 0")
-        if model.grid.n_dof > ORACLE_LIMIT:
-            raise ConfigError(
-                f"oracle needs n_dof <= {ORACLE_LIMIT}, got {model.grid.n_dof}"
-            )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    """Dense eigensolve reference for the linear (kappa = 0) problem. A bad
+    config or a problem it cannot solve raises ``ConfigError``, and a path
+    that cannot be read or made ``OSError``, for ``main`` to report."""
+    _, model, _, _, directory = _load(config_path, out_dir)
+    if model.kappa != 0.0:
+        raise ConfigError("oracle is defined only for kappa = 0")
+    if model.grid.n_dof > ORACLE_LIMIT:
+        raise ConfigError(f"oracle needs n_dof <= {ORACLE_LIMIT}, got {model.grid.n_dof}")
 
     matrix = model.linear_part.toarray()
     eigenvalues, vectors = np.linalg.eigh(matrix)
@@ -467,10 +457,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and map its failures to exit codes: 2 for a bad
+    config or a path that cannot be read or made, 1 for a model that is not
+    coercive; ``run`` gives 1 itself for a method that fails or does not
+    converge."""
     args = _parser().parse_args(argv)
-    if args.command == "solve":
-        return run(args.config, args.out_dir, args.seed, args.log_frames)
-    return oracle(args.config, args.out_dir)
+    try:
+        if args.command == "solve":
+            return run(args.config, args.out_dir, args.seed, args.log_frames)
+        return oracle(args.config, args.out_dir)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

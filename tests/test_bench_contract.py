@@ -1,10 +1,12 @@
 """The library names the benchmark harness reads, checked from the library's
 side: ``bench/spans.py`` wraps names where their callers bind them and
 ``bench/probes.py`` calls public functions, and both silently leave out a
-metric whose name is gone. These tests load the two files and change
-nothing under ``bench``."""
+metric whose name is gone; ``bench/setup_probe.py`` imports public names,
+and ``bench/run.py`` fails when they are gone. These tests load the three
+files and change nothing under ``bench``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -52,3 +54,13 @@ def test_probes_return_every_metric(monkeypatch):
     metrics = probes.probe_grid(1, 16, 2, 10.0, 1)
     assert PROBE_METRICS <= set(metrics), sorted(PROBE_METRICS - set(metrics))
     assert len(calls) == len(PROBE_METRICS) - 1  # matvec_bytes is computed, not timed
+
+
+def test_setup_probe_times_every_workload(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the probe prepends bench/ and src/
+    probe = load("setup_probe")
+    for name in probe.WORKLOADS:
+        probe.main(name, 1)
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 1, (name, printed)
+        assert float(printed[0]) >= 0.0

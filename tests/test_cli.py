@@ -457,6 +457,57 @@ class TestConfigValidation:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def config_error(code, capsys):
+        """The stderr of a run that must have ended in a reported config error."""
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "run.yaml").mkdir()
+        code = main(["solve", str(tmp_path / "run.yaml")])
+        self.config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        code = main(["solve", str(path)])
+        assert "not valid YAML" in self.config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_potential_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "potential").mkdir()
+        config = base_config()
+        config["model"]["potential"] = {"kind": "file", "path": "potential"}
+        code = main(["solve", str(write_config(tmp_path, config))])
+        assert "'model.potential.path'" in self.config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_out_dir_is_a_file(self, tmp_path, capsys, command):
+        config = base_config()
+        config["model"]["kappa"] = 0.0  # a problem the oracle accepts
+        path = write_config(tmp_path, config)
+        code = main([command, str(path), "--out-dir", str(path)])
+        self.config_error(code, capsys)
+
+    def test_float_fields_in_exponent_form_without_a_dot(self, tmp_path):
+        # YAML 1.1 reads 1e-6 as a string, which the float fields accept.
+        config = base_config()
+        config["model"]["grid_points"] = 16
+        text = yaml.safe_dump(config)
+        assert "tol: 1.0e-06" in text and "rel_tol: 1.0e-08" in text
+        text = text.replace("tol: 1.0e-06", "tol: 1e-6").replace("rel_tol: 1.0e-08",
+                                                                  "rel_tol: 1e-8")
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path)["methods"][0]["tol"] == "1e-6"
+        assert main(["solve", str(path)]) == EXIT_OK
+
 
 class TestConfigValidationWithoutLibyaml(TestConfigValidation):
     """The same checks when PyYAML was built without libyaml, so that
