@@ -6,11 +6,14 @@ from .descent import (
     LineSearchFailure,
     LineSearchParams,
     RunResult,
+    Step,
+    collect,
     diagnostics_a2_a3,
     initial_frame,
     nonmonotone_update,
     rgd_fixed_step,
     rgd_line_search,
+    steps,
 )
 from .directions import (
     SearchDirection,

@@ -22,10 +22,10 @@ import yaml
 from .descent import (
     LineSearchParams,
     RunResult,
+    collect,
     diagnostics_a2_a3,
     initial_frame,
-    rgd_fixed_step,
-    rgd_line_search,
+    steps,
 )
 from .directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD
 from .errors import ConfigError, NumericalError
@@ -285,15 +285,27 @@ def _load(config_path, out_dir: Optional[str]) -> "tuple[dict, EnergyModel, int,
     return config, model, seed, output, directory
 
 
-def _run_method(model, phi0, spec, solver_config, log_frames: bool) -> RunResult:
+def _run_method(model, phi0, spec, solver_config, diagnostics: Optional[list]) -> RunResult:
+    """One method's run: its steps, passed through ``_diagnosed`` into
+    ``diagnostics`` when that is a list, folded by ``collect``."""
     if "fixed_iters" in spec:  # the inner budget of rgd_ls_inexact and dcm
         solver_config = dataclasses.replace(solver_config, fixed_iters=spec["fixed_iters"])
-    common = dict(retraction=spec["retraction"], tol=spec["tol"], max_iter=spec["max_iter"],
-                  solver_config=solver_config, log_frames=log_frames)
     kind = METHODS[spec["name"]][0]
-    if kind is None:
-        return rgd_fixed_step(model, phi0, spec["tau"], **common)
-    return rgd_line_search(model, phi0, params=spec["params"], direction_kind=kind, **common)
+    run = steps(model, phi0, spec.get("params"), spec.get("tau"), kind or EXACT_GRAD,
+                spec["retraction"], spec["tol"], spec["max_iter"], solver_config)
+    return collect(model, run if diagnostics is None else _diagnosed(model, run, diagnostics))
+
+
+def _diagnosed(model, run, rows: list):
+    """The steps of ``run`` passed on unchanged, appending to ``rows`` the
+    (r2, r3) of ``diagnostics_a2_a3`` for each step once the next one has
+    arrived. Holds only the previous step."""
+    previous = None
+    for step in run:
+        if previous is not None:
+            rows.append(diagnostics_a2_a3(model, previous, step))
+        previous = step
+        yield step
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -313,11 +325,10 @@ def _write_history_csv(path: Path, result: RunResult) -> None:
     _write_lines(path, lines)
 
 
-def _write_diagnostics_csv(path: Path, model, result: RunResult) -> None:
-    r2, r3 = diagnostics_a2_a3(model, result)
+def _write_diagnostics_csv(path: Path, rows: list) -> None:
     lines = ["iter,r2,r3"]
-    for n in range(len(r2)):
-        lines.append(f"{n},{r2[n]:.12e},{r3[n]:.12e}")
+    for n, (r2, r3) in enumerate(rows):
+        lines.append(f"{n},{r2:.12e},{r3:.12e}")
     _write_lines(path, lines)
 
 
@@ -352,13 +363,14 @@ def run(
     config_path,
     out_dir: Optional[str] = None,
     seed: Optional[int] = None,
-    log_frames: bool = False,
+    diagnose: bool = False,
 ) -> int:
     """Execute every configured method; exit 0 only if all of them converged,
-    1 if one failed or did not converge. Before any output, a bad config
-    raises ``ConfigError`` and a model that is not coercive ``NumericalError``;
-    a path that cannot be read or made raises its ``OSError``. ``main``
-    reports each of them."""
+    1 if one failed or did not converge. ``diagnose`` (``--log-frames``)
+    also writes each method's (r2, r3) diagnostics. Before any output, a
+    bad config raises ``ConfigError`` and a model that is not coercive
+    ``NumericalError``; a path that cannot be read or made raises its
+    ``OSError``. ``main`` reports each of them."""
     if seed is not None:
         _check_seed(seed, "option '--seed'")
     config, model, config_seed, output, directory = _load(config_path, out_dir)
@@ -373,17 +385,16 @@ def run(
     blocks = [_model_summary_line(model, used_seed)]
     failure_cause = None
     for spec in methods:
+        diagnostics = [] if diagnose else None
         try:
-            result = _run_method(model, phi0, spec, solver_config, log_frames)
+            result = _run_method(model, phi0, spec, solver_config, diagnostics)
         except (NumericalError, ValueError) as exc:  # ValueError: a non-finite frame
             print(f"method {spec['name']} failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         if output["csv"]:
             _write_history_csv(directory / f"{spec['name']}.csv", result)
-        if log_frames:
-            _write_diagnostics_csv(
-                directory / f"{spec['name']}_diagnostics.csv", model, result
-            )
+        if diagnose:
+            _write_diagnostics_csv(directory / f"{spec['name']}_diagnostics.csv", diagnostics)
         blocks.append(_summary_block(spec["name"], result))
         if not result.converged:
             failure_cause = result.termination
@@ -447,7 +458,8 @@ def _parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
     solve_parser.add_argument("--seed", type=int, default=None, help="override the seed")
     solve_parser.add_argument(
-        "--log-frames", action="store_true", help="store iterates and write diagnostics"
+        "--log-frames", action="store_true", dest="diagnose",
+        help="write each method's (r2, r3) diagnostics, computed step by step"
     )
 
     oracle_parser = sub.add_parser("oracle", help="dense eigensolve for kappa = 0")
@@ -464,7 +476,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
-            return run(args.config, args.out_dir, args.seed, args.log_frames)
+            return run(args.config, args.out_dir, args.seed, args.diagnose)
         return oracle(args.config, args.out_dir)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
-"""Iteration drivers: fixed-step descent and the non-monotone line search
-with alternating Barzilai-Borwein trial steps, plus convergence diagnostics."""
+"""The descent loop as a generator of steps (``steps``), folded into a run's
+result by ``collect``; the two drivers on it, fixed-step descent and the
+non-monotone line search with alternating Barzilai-Borwein trial steps; and
+the convergence diagnostics of two consecutive steps."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -91,7 +93,6 @@ class RunResult:
     history: List[IterationRecord]
     converged: bool
     termination: str
-    frames: Optional[List[Frame]] = None
     line_search_failure: Optional[LineSearchFailure] = None
 
     @property
@@ -167,7 +168,21 @@ def line_search(
     return LineSearchFailure(e_trial - state.energy, target, c - state.energy, k)
 
 
-def _descend(
+@dataclass
+class Step:
+    """One visited iterate of a descent run, as ``steps`` yields it: the
+    iterate's state, the direction found there (None when its solve
+    raised) and its record. The last step of a run carries the
+    termination and, after a failed line search, its LineSearchFailure."""
+
+    state: IterateState
+    direction: Optional[SearchDirection]
+    record: IterationRecord
+    termination: Optional[str] = None
+    line_search_failure: Optional[LineSearchFailure] = None
+
+
+def steps(
     model: EnergyModel,
     phi0: Frame,
     params: Optional[LineSearchParams],
@@ -177,9 +192,9 @@ def _descend(
     tol: float,
     max_iter: int,
     config: SolveConfig,
-    log_frames: bool,
-) -> RunResult:
-    """The descent loop shared by both drivers.
+) -> Iterator[Step]:
+    """The descent loop of both drivers and of the CLI, one Step per visited
+    iterate.
 
     Each pass evaluates the direction at the current iterate, stops on
     ``tol`` (whether or not that direction was found), on a failed Krylov
@@ -187,22 +202,21 @@ def _descend(
     when the error reports them), on a degenerate frame or at
     ``max_iter``, and otherwise hands the trial step to
     ``line_search``: ``fixed_tau`` with ``params`` None, else the
-    alternating BB step (``gamma0`` at the first iterate). It appends one
-    IterationRecord per visited iterate, with the step and backtracks that
-    left it. Every direction solves with ``config``, except that an
-    inexact or DCM run given a tolerance-mode config truncates it at
-    ``FIXED_ITERS`` steps, a copy built once here. An exact-gradient run
-    also builds here the one ``CorrectionWindow`` that every exact gradient
-    projects its start onto and pushes its correction into; the other kinds
-    get none. With a fixed step the reference pair stays
-    (c_n, q_n) = (E_n, 1); otherwise it follows
-    ``nonmonotone_update``. A failed line search ends the run and its
-    LineSearchFailure is kept on the result.
+    alternating BB step (``gamma0`` at the first iterate). It yields one
+    Step per visited iterate, whose record holds the step and backtracks
+    that left it; the run's last step carries its termination. Every
+    direction solves with ``config``, except that an inexact or DCM run
+    given a tolerance-mode config truncates it at ``FIXED_ITERS`` steps, a
+    copy built once here. An exact-gradient run also builds here the one
+    ``CorrectionWindow`` that every exact gradient projects its start onto
+    and pushes its correction into; the other kinds get none. With a fixed
+    step the reference pair stays (c_n, q_n) = (E_n, 1); otherwise it
+    follows ``nonmonotone_update``. A failed line search ends the run. The
+    generator keeps no step it has yielded, and runs nothing until the
+    first one is asked for.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    history: List[IterationRecord] = []
-    frames: Optional[List[Frame]] = [] if log_frames else None
     if direction_kind != EXACT_GRAD and config.fixed_iters is None:
         config = replace(config, fixed_iters=FIXED_ITERS)
     window = (CorrectionWindow(phi0.grid.n_dof, phi0.n_orbitals)
@@ -215,9 +229,7 @@ def _descend(
     t0 = time.perf_counter()
 
     for n in range(max_iter + 1):
-        if frames is not None:
-            frames.append(state.phi)
-        grad_norm, inner, tau, backtracks, failure = float("inf"), 0, 0.0, 0, None
+        grad_norm, inner, tau, backtracks, failure, sd = float("inf"), 0, 0.0, 0, None, None
         try:
             sd = compute_direction(state, direction_kind, config, window)
         except (ConvergenceError, OperatorNotSPDError) as exc:
@@ -240,19 +252,16 @@ def _descend(
             else:
                 gamma = bb_trial_step(n, state.phi - prev_phi,
                                       prev_eta.direction - sd.direction, params)
-            step = line_search(model, state, sd, gamma, c, params, retraction)
-            if isinstance(step, LineSearchFailure):
-                termination, failure, backtracks = TERMINATION_LINE_SEARCH, step, step.backtracks
+            trial = line_search(model, state, sd, gamma, c, params, retraction)
+            if isinstance(trial, LineSearchFailure):
+                termination, failure, backtracks = TERMINATION_LINE_SEARCH, trial, trial.backtracks
             else:
-                accepted, tau, backtracks = step
-        history.append(
-            IterationRecord(n, state.energy, state.res_norm, grad_norm, tau, backtracks,
-                            inner, c, q, time.perf_counter() - t0)
-        )
+                accepted, tau, backtracks = trial
+        record = IterationRecord(n, state.energy, state.res_norm, grad_norm, tau, backtracks,
+                                 inner, c, q, time.perf_counter() - t0)
+        yield Step(state, sd, record, termination, failure)
         if termination is not None:
-            return RunResult(state.phi, multiplier_eigenvalues(model, state.lam), history,
-                             termination == TERMINATION_RESIDUAL, termination, frames,
-                             failure)
+            return
 
         prev_phi, prev_eta, state = state.phi, sd, accepted
         if params is None:
@@ -260,7 +269,21 @@ def _descend(
         else:
             c, q = nonmonotone_update(c, q, params.alpha, state.energy)
 
-    raise AssertionError("unreachable")
+
+def collect(model: EnergyModel, run: Iterable[Step]) -> RunResult:
+    """Fold the steps of one run, as ``steps`` yields them, into its
+    RunResult: every record, and the last step's frame, multipliers,
+    termination and line-search failure; the last step must carry a
+    termination, as the last one ``steps`` yields does. Runs the loop, and
+    lets each step go before the next is computed."""
+    history: List[IterationRecord] = []
+    for step in run:
+        history.append(step.record)
+        if step.termination is None:
+            del step  # its iterate is freed while ``run`` computes the next one
+    return RunResult(step.state.phi, multiplier_eigenvalues(model, step.state.lam), history,
+                     step.termination == TERMINATION_RESIDUAL, step.termination,
+                     step.line_search_failure)
 
 
 def rgd_fixed_step(
@@ -271,7 +294,6 @@ def rgd_fixed_step(
     tol: float = 1e-6,
     max_iter: int = 1000,
     solver_config: Optional[SolveConfig] = None,
-    log_frames: bool = False,
 ) -> RunResult:
     """Riemannian gradient descent with a constant step size.
 
@@ -283,8 +305,8 @@ def rgd_fixed_step(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     config = solver_config if solver_config is not None else SolveConfig()
-    return _descend(model, phi0, None, tau, EXACT_GRAD, retraction,
-                    tol, max_iter, config, log_frames)
+    return collect(model, steps(model, phi0, None, tau, EXACT_GRAD, retraction,
+                                tol, max_iter, config))
 
 
 def rgd_line_search(
@@ -296,7 +318,6 @@ def rgd_line_search(
     tol: float = 1e-6,
     max_iter: int = 1000,
     solver_config: Optional[SolveConfig] = None,
-    log_frames: bool = False,
 ) -> RunResult:
     """Descent with the non-monotone line search and alternating BB steps.
 
@@ -313,35 +334,25 @@ def rgd_line_search(
     """
     params = params if params is not None else LineSearchParams()
     config = solver_config if solver_config is not None else SolveConfig()
-    return _descend(model, phi0, params, None, direction_kind, retraction, tol,
-                    max_iter, config, log_frames)
+    return collect(model, steps(model, phi0, params, None, direction_kind, retraction, tol,
+                                max_iter, config))
 
 
-def diagnostics_a2_a3(model: EnergyModel, result: RunResult) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-step descent and step-size ratios from a run with stored frames.
+def diagnostics_a2_a3(model: EnergyModel, step: Step, following: Step) -> Tuple[float, float]:
+    """Descent and step-size ratios of the step from ``step`` to ``following``,
+    two consecutive steps of one run.
 
     r2(n) = (E_n - E_{n+1}) / (g_n * d_n) and r3(n) = d_n / g_n, with g_n the
     metric gradient norm and d_n the norm of the iterate difference d in the
     shifted quadratic form a0(d, d) + shift (d, d)_H, which
     ``validate_coercivity`` certifies positive definite; a0 alone is
-    indefinite where the potential is negative. Steps with a vanishing
-    gradient norm report NaN.
+    indefinite where the potential is negative. A vanishing gradient norm
+    reports NaN for both, a vanishing d NaN for r2.
     """
-    if result.frames is None or len(result.frames) != len(result.history):
-        raise ValueError("diagnostics require a run recorded with log_frames=True")
-    steps = len(result.history) - 1
-    r2 = np.full(steps, np.nan)
-    r3 = np.full(steps, np.nan)
-    grad_floor = 100.0 * np.finfo(np.float64).eps
-    for n in range(steps):
-        g = result.history[n].grad_a_norm
-        if not np.isfinite(g) or g <= grad_floor:
-            continue
-        diff = result.frames[n + 1] - result.frames[n]
-        d = float(np.sqrt(max(a0_form(model, diff, diff) + model.shift * inner_h(diff, diff),
-                              0.0)))
-        decay = result.history[n].energy - result.history[n + 1].energy
-        if d > 0.0:
-            r2[n] = decay / (g * d)
-        r3[n] = d / g
-    return r2, r3
+    g = step.record.grad_a_norm
+    if not np.isfinite(g) or g <= 100.0 * np.finfo(np.float64).eps:
+        return np.nan, np.nan
+    diff = following.state.phi - step.state.phi
+    d = float(np.sqrt(max(a0_form(model, diff, diff) + model.shift * inner_h(diff, diff), 0.0)))
+    decay = step.record.energy - following.record.energy
+    return (decay / (g * d) if d > 0.0 else np.nan), d / g

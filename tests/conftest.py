@@ -10,6 +10,10 @@ oracles are the manifold membership test (``is_on_stiefel``, from
 and the Cholesky qR retraction (``retract_qr_cholesky``), the oracle of the
 library's modified-Gram-Schmidt qR. ``a_norm`` is the shifted-form norm of
 an operator, which the retraction bounds are stated in.
+``diagnostics_oracle`` computes the (r2, r3) diagnostics of a whole run from
+its stored frames, the oracle of the rows the CLI streams step by step.
+``framed_run`` takes a run from its steps and keeps the frames the library
+does not.
 """
 
 from dataclasses import dataclass, replace
@@ -23,20 +27,26 @@ from stiefel_rgd import (
     EnergyModel,
     Frame,
     GridSpec,
+    LineSearchParams,
     OperatorNotSPDError,
     SolveConfig,
     SolveReport,
+    a0_form,
+    collect,
     directions,
     initial_frame,
+    inner_h,
     multiply_right,
     norm_h,
     outer_product,
     potential_harmonic,
     random_frame,
-    rgd_fixed_step,
-    rgd_line_search,
+    steps,
 )
+from stiefel_rgd.cli import _diagnosed
+from stiefel_rgd.directions import DCM, EXACT_GRAD, INEXACT_GRAD
 from stiefel_rgd.frames import DIRICHLET
+from stiefel_rgd.geometry import POLAR
 from stiefel_rgd.models import DiscreteOperatorA
 
 # Frozen reference problems. The unit-box GPE with a centered harmonic trap
@@ -362,34 +372,93 @@ def coupled_start(coupled_model):
     return initial_frame(coupled_model.grid, coupled_model.n_orbitals, COUPLED_SPEC["seed"])
 
 
+def framed_run(model, phi0, tau=None, direction_kind=EXACT_GRAD, tol=1e-6, max_iter=1000,
+               solver_config=None, diagnostics=None):
+    """The run of ``rgd_fixed_step`` at step ``tau`` when it is given, else of
+    ``rgd_line_search`` with default parameters along ``direction_kind``, as
+    ``collect`` folds its steps, and the frame of every iterate it visited,
+    read from ``Step.state.phi``. When ``diagnostics`` is a list, the steps
+    pass through the CLI's ``--log-frames`` pass-through, which appends
+    their streamed (r2, r3) rows to it."""
+    config = solver_config if solver_config is not None else SolveConfig()
+    params = LineSearchParams() if tau is None else None
+    run = steps(model, phi0, params, tau, direction_kind, POLAR, tol, max_iter, config)
+    if diagnostics is not None:
+        run = _diagnosed(model, run, diagnostics)
+    frames = []
+
+    def recorded():
+        for step in run:
+            frames.append(step.state.phi)
+            yield step
+
+    return collect(model, recorded()), frames
+
+
+def diagnostics_oracle(model, run, frames):
+    """Oracle: the (r2, r3) arrays of every step of ``run`` at once, by the
+    whole-run formula over its stored ``frames`` (one per record), with
+    ``grad_a_norm`` at most 100 eps giving NaN for both and a zero step
+    NaN for r2."""
+    assert len(frames) == len(run.history)
+    count = len(run.history) - 1
+    r2 = np.full(count, np.nan)
+    r3 = np.full(count, np.nan)
+    grad_floor = 100.0 * np.finfo(np.float64).eps
+    for n in range(count):
+        g = run.history[n].grad_a_norm
+        if not np.isfinite(g) or g <= grad_floor:
+            continue
+        diff = frames[n + 1] - frames[n]
+        d = float(np.sqrt(max(a0_form(model, diff, diff) + model.shift * inner_h(diff, diff),
+                              0.0)))
+        decay = run.history[n].energy - run.history[n + 1].energy
+        if d > 0.0:
+            r2[n] = decay / (g * d)
+        r3[n] = d / g
+    return r2, r3
+
+
+def streamed_columns(rows):
+    """The (r2, r3) rows the CLI streams, as the r2 and r3 arrays."""
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
+
+
 def _all_method_runs(model, phi0):
+    """Each method on one problem, taken from its steps: {method: (RunResult,
+    frames, (r2, r3))}, with the diagnostics the CLI streams."""
     config = reference_solver_config()
-    runs = {
-        "rgd_fixed": rgd_fixed_step(
-            model, phi0, FIXED_TAU, tol=RUN_TOL, max_iter=5000,
-            solver_config=config, log_frames=True,
-        ),
-        "rgd_ls": rgd_line_search(
-            model, phi0, tol=RUN_TOL, max_iter=2000,
-            solver_config=config, log_frames=True,
-        ),
-        "rgd_ls_inexact": rgd_line_search(
-            model, phi0, direction_kind="inexact_grad", tol=RUN_TOL, max_iter=2000,
-            solver_config=truncated(config, INEXACT_ITERS), log_frames=True,
-        ),
-        "dcm": rgd_line_search(
-            model, phi0, direction_kind="dcm", tol=RUN_TOL, max_iter=2000,
-            solver_config=truncated(config, INEXACT_ITERS), log_frames=True,
-        ),
+    methods = {
+        "rgd_fixed": dict(tau=FIXED_TAU, max_iter=5000, solver_config=config),
+        "rgd_ls": dict(max_iter=2000, solver_config=config),
+        "rgd_ls_inexact": dict(direction_kind=INEXACT_GRAD, max_iter=2000,
+                               solver_config=truncated(config, INEXACT_ITERS)),
+        "dcm": dict(direction_kind=DCM, max_iter=2000,
+                    solver_config=truncated(config, INEXACT_ITERS)),
     }
-    return runs
+    observed = {}
+    for name, kwargs in methods.items():
+        rows = []
+        run, frames = framed_run(model, phi0, tol=RUN_TOL, diagnostics=rows, **kwargs)
+        observed[name] = (run, frames, streamed_columns(rows))
+    return observed
 
 
 @pytest.fixture(scope="session")
-def gpe_runs(gpe_model, gpe_start):
+def gpe_observed(gpe_model, gpe_start):
     return _all_method_runs(gpe_model, gpe_start)
 
 
 @pytest.fixture(scope="session")
-def coupled_runs(coupled_model, coupled_start):
+def coupled_observed(coupled_model, coupled_start):
     return _all_method_runs(coupled_model, coupled_start)
+
+
+@pytest.fixture(scope="session")
+def gpe_runs(gpe_observed):
+    return {name: run for name, (run, _, _) in gpe_observed.items()}
+
+
+@pytest.fixture(scope="session")
+def coupled_runs(coupled_observed):
+    return {name: run for name, (run, _, _) in coupled_observed.items()}

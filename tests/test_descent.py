@@ -1,5 +1,8 @@
 """Drivers: fixed-step descent, the non-monotone line search, diagnostics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,10 +27,14 @@ from stiefel_rgd.descent import (
     TERMINATION_RESIDUAL,
     TERMINATION_SOLVER,
     LineSearchFailure,
+    Step,
     bb_trial_step,
+    collect,
     line_search,
+    steps,
 )
 from stiefel_rgd import descent, solvers
+from stiefel_rgd.cli import _diagnosed
 from stiefel_rgd.directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD, compute_direction
 from stiefel_rgd.errors import OperatorNotSPDError
 from stiefel_rgd.frames import density
@@ -41,12 +48,15 @@ from conftest import (
     RUN_TOL,
     dense_inverse,
     dense_lowest_eigenpairs,
+    diagnostics_oracle,
     force_discards,
+    framed_run,
     is_on_stiefel,
     is_tangent,
     make_model,
     poison_solve,
     reference_solver_config,
+    streamed_columns,
 )
 
 # Energy decrements below double-precision evaluation noise cannot be
@@ -69,14 +79,12 @@ class TestFixedStep:
     def test_unit_step_single_orbital_is_inverse_power_update(self):
         model = make_model(n=64, length=1.0, omega=10.0, kappa=0.0, n_orbitals=1)
         phi0 = initial_frame(model.grid, 1, 3)
-        run = rgd_fixed_step(
-            model, phi0, 1.0, tol=1e-12, max_iter=1, solver_config=DIRECT,
-            log_frames=True,
-        )
+        _, frames = framed_run(model, phi0, tau=1.0, tol=1e-12, max_iter=1,
+                               solver_config=DIRECT)
         op = DiscreteOperatorA.at(model, phi0)
         pulled = dense_inverse(op)(phi0)
         expected = (1.0 / norm_h(pulled)) * pulled
-        gap = min(norm_h(run.frames[1] - expected), norm_h(run.frames[1] + expected))
+        gap = min(norm_h(frames[1] - expected), norm_h(frames[1] + expected))
         assert gap <= 1e-12
 
     def test_reference_energy_decay(self, gpe_runs):
@@ -86,8 +94,9 @@ class TestFixedStep:
         for a, b in zip(energies, energies[1:]):
             assert b <= a + roundoff_slack(a)
 
-    def test_manifold_preserved_along_run(self, gpe_runs):
-        for frame in gpe_runs["rgd_fixed"].frames:
+    def test_manifold_preserved_along_run(self, gpe_observed):
+        _, frames, _ = gpe_observed["rgd_fixed"]
+        for frame in frames:
             assert is_on_stiefel(frame, 1e-11)
 
     def test_max_iter_termination(self):
@@ -277,10 +286,10 @@ class TestLineSearchRuns:
                 assert run.history[-1].residual_h_norm <= RUN_TOL
             assert max(energies) - min(energies) <= 1e-7
 
-    def test_manifold_preserved_along_all_runs(self, gpe_runs, coupled_runs):
-        for runs in (gpe_runs, coupled_runs):
-            for run in runs.values():
-                for frame in run.frames:
+    def test_manifold_preserved_along_all_runs(self, gpe_observed, coupled_observed):
+        for observed in (gpe_observed, coupled_observed):
+            for _, frames, _ in observed.values():
+                for frame in frames:
                     assert is_on_stiefel(frame, 1e-11)
 
     def test_orthogonal_invariance_of_final_energy(self):
@@ -419,9 +428,8 @@ class TestInnerBudget:
 
 
 class TestDiagnostics:
-    def test_reference_ratios_positive_where_resolvable(self, gpe_model, gpe_runs):
-        run = gpe_runs["rgd_fixed"]
-        r2, r3 = diagnostics_a2_a3(gpe_model, run)
+    def test_reference_ratios_positive_where_resolvable(self, gpe_observed):
+        run, _, (r2, r3) = gpe_observed["rgd_fixed"]
         energies = [rec.energy for rec in run.history]
         assert np.all(r3[np.isfinite(r3)] > 0.0)
         for n in range(len(r2)):
@@ -429,37 +437,28 @@ class TestDiagnostics:
             if np.isfinite(r2[n]) and decrement > roundoff_slack(energies[n]):
                 assert r2[n] > 0.0
 
-    def test_requires_logged_frames(self, gpe_model):
-        run = rgd_fixed_step(
-            gpe_model,
-            initial_frame(gpe_model.grid, 1, 7),
-            FIXED_TAU,
-            tol=1e-2,
-            solver_config=reference_solver_config(),
-        )
-        with pytest.raises(ValueError):
-            diagnostics_a2_a3(gpe_model, run)
+    @pytest.mark.parametrize("method", ["rgd_fixed", "rgd_ls", "rgd_ls_inexact", "dcm"])
+    def test_streamed_rows_equal_whole_run_oracle(self, gpe_model, gpe_observed, method):
+        run, frames, streamed = gpe_observed[method]
+        oracle = diagnostics_oracle(gpe_model, run, frames)
+        assert len(streamed[0]) == run.iterations > 0
+        for got, expected in zip(streamed, oracle):
+            assert got.tobytes() == expected.tobytes()  # bit for bit, NaN included
 
     def test_vanishing_gradient_reports_nan(self):
-        from stiefel_rgd import IterationRecord, RunResult
+        from stiefel_rgd import IterationRecord
 
         model = make_model(n=48, length=1.0, omega=6.0, kappa=0.0, n_orbitals=2)
         _, modes = dense_lowest_eigenpairs(model, 2)
         perturbed = Frame(modes.values + 1e-3, model.grid)
 
-        def record(n, grad):
-            return IterationRecord(n, 1.0, 0.0, grad, 0.1, 0, 0, 1.0, 1.0, 0.0)
+        def step(n, grad, phi):
+            record = IterationRecord(n, 1.0, 0.0, grad, 0.1, 0, 0, 1.0, 1.0, 0.0)
+            return Step(IterateState.at(model, phi), None, record)
 
         tiny, fine = 1e-15, 1e-3
-        run = RunResult(
-            final_frame=modes,
-            eigenvalues=np.zeros(2),
-            history=[record(0, tiny), record(1, fine), record(2, fine)],
-            converged=True,
-            termination=TERMINATION_RESIDUAL,
-            frames=[modes, perturbed, modes],
-        )
-        r2, r3 = diagnostics_a2_a3(model, run)
+        run = [step(0, tiny, modes), step(1, fine, perturbed), step(2, fine, modes)]
+        r2, r3 = zip(*(diagnostics_a2_a3(model, a, b) for a, b in zip(run, run[1:])))
         assert np.isnan(r2[0]) and np.isnan(r3[0])
         assert np.isfinite(r2[1]) and np.isfinite(r3[1])
 
@@ -473,9 +472,12 @@ class TestDiagnostics:
         model = EnergyModel(grid, potential_well(grid, depth=-500.0, width=0.5),
                             kappa=100.0, shift=600.0, n_orbitals=4)
         validate_coercivity(model)
-        run = rgd_line_search(model, initial_frame(grid, 4, 1000), tol=1e-6, max_iter=2000,
-                              solver_config=reference_solver_config(), log_frames=True)
-        r2, r3 = diagnostics_a2_a3(model, run)
+        rows = []
+        run, frames = framed_run(model, initial_frame(grid, 4, 1000), tol=1e-6, max_iter=2000,
+                                 solver_config=reference_solver_config(), diagnostics=rows)
+        r2, r3 = streamed_columns(rows)
+        for got, expected in zip((r2, r3), diagnostics_oracle(model, run, frames)):
+            assert got.tobytes() == expected.tobytes()
         assert len(r3) > 100
         assert np.all(np.isfinite(r2))
         assert np.all(np.isfinite(r3)) and np.all(r3 > 0.0)
@@ -502,24 +504,50 @@ class TestDiagnostics:
             assert ratios and np.all(np.isfinite(ratios))
 
     def test_exact_gradient_tangent_on_every_iterate(
-            self, gpe_model, gpe_start, coupled_model, coupled_start, monkeypatch):
-        pairs = []
-        compute = descent.compute_direction
-
-        def recording_compute(state, kind, config, window=None):
-            sd = compute(state, kind, config, window)
-            pairs.append((state.phi, sd.direction))
-            return sd
-
-        monkeypatch.setattr(descent, "compute_direction", recording_compute)
+            self, gpe_model, gpe_start, coupled_model, coupled_start):
         for model, phi0 in ((gpe_model, gpe_start), (coupled_model, coupled_start)):
-            pairs.clear()
-            run = rgd_line_search(model, phi0, tol=RUN_TOL, max_iter=2000,
-                                  solver_config=reference_solver_config())
-            assert run.converged and len(pairs) == len(run.history)
-            for frame, direction in pairs:
+            taken = list(steps(model, phi0, LineSearchParams(), None, EXACT_GRAD, POLAR,
+                               RUN_TOL, 2000, reference_solver_config()))
+            run = collect(model, taken)
+            assert run.converged and len(taken) == len(run.history)
+            for step in taken:
                 # ten times the 1e-8 inner-solve tolerance
-                assert is_tangent(frame, direction).skew_defect <= 1e-7
+                assert is_tangent(step.state.phi, step.direction.direction).skew_defect <= 1e-7
+
+
+class TestStreamedSteps:
+    """The path of every CLI method, ``collect`` over ``steps``, keeps a
+    bounded number of iterates alive: with the diagnostics pass-through, the
+    step being folded and the previous one the diagnostics read; without
+    it, the step being folded alone."""
+
+    @staticmethod
+    def alive_per_step(model, phi0, kind, diagnose):
+        """The number of yielded states still alive as each step reaches
+        ``collect``, after ``gc.collect()``, and the run."""
+        refs, alive, rows = [], [], []
+
+        def watched(run):
+            for step in run:
+                refs.append(weakref.ref(step.state))
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+                yield step
+
+        run = steps(model, phi0, LineSearchParams(), None, kind, POLAR, RUN_TOL, 2000,
+                    reference_solver_config())
+        result = collect(model, watched(_diagnosed(model, run, rows) if diagnose else run))
+        assert result.converged and len(alive) == len(result.history) > 10
+        assert len(rows) == (result.iterations if diagnose else 0)
+        return alive
+
+    @pytest.mark.parametrize("kind", [EXACT_GRAD, DCM])
+    def test_at_most_two_states_alive(self, coupled_model, coupled_start, kind):
+        assert max(self.alive_per_step(coupled_model, coupled_start, kind, True)) <= 2
+
+    @pytest.mark.parametrize("kind", [EXACT_GRAD, DCM])
+    def test_collect_alone_keeps_one_state(self, coupled_model, coupled_start, kind):
+        assert max(self.alive_per_step(coupled_model, coupled_start, kind, False)) == 1
 
 
 class TestOtherDiscretizations:

@@ -44,6 +44,7 @@ from conftest import (
     dense_a_solve,
     dense_lowest_eigenpairs,
     force_discards,
+    framed_run,
     is_tangent,
     make_model,
     project_tangent,
@@ -136,8 +137,9 @@ class TestExactGradient:
 
 @pytest.fixture(scope="module")
 def inexact_2d_run():
-    """rgd_ls_inexact on 2D 16^2, N=3, kappa=100 from start frame 4000,
-    counting the safeguard's exact fallbacks."""
+    """rgd_ls_inexact on 2D 16^2, N=3, kappa=100 from start frame 4000: the
+    model, the run, its frames and the count of the safeguard's exact
+    fallbacks."""
     model = make_model(n=16, length=1.0, omega=10.0, kappa=100.0, n_orbitals=3,
                        dimension=2)
     exact_calls = []
@@ -149,11 +151,10 @@ def inexact_2d_run():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(directions, "riemannian_gradient", counted)
-        run = rgd_line_search(model, initial_frame(model.grid, 3, 4000),
-                              direction_kind=INEXACT_GRAD, tol=1e-6,
-                              max_iter=2000, solver_config=reference_solver_config(),
-                              log_frames=True)
-    return model, run, len(exact_calls)
+        run, frames = framed_run(model, initial_frame(model.grid, 3, 4000),
+                                 direction_kind=INEXACT_GRAD, tol=1e-6,
+                                 max_iter=2000, solver_config=reference_solver_config())
+    return model, run, frames, len(exact_calls)
 
 
 class TestSlopeAlongRetraction:
@@ -166,8 +167,8 @@ class TestSlopeAlongRetraction:
     @pytest.mark.parametrize("iterate", [5, 200])
     def test_central_difference_matches_residual_pairing(self, inexact_2d_run, kind,
                                                          iterate):
-        model, run, _ = inexact_2d_run
-        phi = run.frames[iterate]
+        model, _, frames, _ = inexact_2d_run
+        phi = frames[iterate]
         state = IterateState.at(model, phi)
         # Not critical: the residual is far above the run's tolerance.
         assert state.res_norm >= 1e-2
@@ -184,21 +185,20 @@ class TestSlopeAlongRetraction:
         assert slope < 0.0 < ambient
 
 
-def late_iterates(run, count=3, below=1e-3):
-    """The first ``count`` iterates of a converged run whose residual is at
-    most ``below``: late enough for phi Lambda^{-1} to be a close guess."""
+def late_iterates(run, frames, count=3, below=1e-3):
+    """The first ``count`` of the ``frames`` of a converged run whose residual
+    is at most ``below``: late enough for phi Lambda^{-1} to be a close guess."""
     assert run.converged
-    return [frame for frame, rec in zip(run.frames, run.history)
+    return [frame for frame, rec in zip(frames, run.history)
             if rec.residual_h_norm <= below][:count]
 
 
 def two_dimensional_run():
     model = make_model(n=16, length=1.0, omega=10.0, kappa=50.0, n_orbitals=3,
                        dimension=2)
-    run = rgd_line_search(model, initial_frame(model.grid, 3, 3), tol=1e-6,
-                          max_iter=2000, solver_config=reference_solver_config(),
-                          log_frames=True)
-    return model, run
+    run, frames = framed_run(model, initial_frame(model.grid, 3, 3), tol=1e-6,
+                             max_iter=2000, solver_config=reference_solver_config())
+    return model, run, frames
 
 
 class TestWarmStartedExactGradient:
@@ -210,10 +210,10 @@ class TestWarmStartedExactGradient:
     def test_matches_dense_gradient_on_late_iterates(self, dimension, request, monkeypatch):
         if dimension == 1:
             model = request.getfixturevalue("coupled_model")
-            run = request.getfixturevalue("coupled_runs")["rgd_ls"]
+            run, frames, _ = request.getfixturevalue("coupled_observed")["rgd_ls"]
         else:
-            model, run = two_dimensional_run()
-        frames = late_iterates(run)
+            model, run, frames = two_dimensional_run()
+        frames = late_iterates(run, frames)
         config = reference_solver_config()
         calls = []
         routed = directions.solve  # takes DIRECT to the dense oracle
@@ -264,10 +264,10 @@ def early_iterates(request):
     else:
         model = make_model(n=32, length=1.0, omega=10.0, kappa=100.0, n_orbitals=4,
                            dimension=2)
-    run = rgd_line_search(model, initial_frame(model.grid, model.n_orbitals, 1000),
-                          direction_kind=DCM, tol=1e-12, max_iter=20,
-                          solver_config=reference_solver_config(), log_frames=True)
-    return model, [run.frames[k] for k in (0, 5, 20)]
+    _, frames = framed_run(model, initial_frame(model.grid, model.n_orbitals, 1000),
+                           direction_kind=DCM, tol=1e-12, max_iter=20,
+                           solver_config=reference_solver_config())
+    return model, [frames[k] for k in (0, 5, 20)]
 
 
 def relative_gap(values, oracle):
@@ -565,17 +565,16 @@ class TestInexactGradient:
 
     def test_descent_on_converging_run(self, rng):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
-        run = rgd_line_search(
+        run, frames = framed_run(
             model,
             initial_frame(model.grid, 1, 7),
             direction_kind=INEXACT_GRAD,
             tol=1e-6,
             max_iter=2000,
             solver_config=reference_solver_config(),
-            log_frames=True,
         )
         assert run.converged
-        for frame in run.frames[:-1]:
+        for frame in frames[:-1]:
             state = IterateState.at(model, frame)
             sd = safeguarded_inexact_gradient(state, truncated(reference_solver_config(), 3))
             # The slope of E(R(frame, tau eta)) at tau = 0.
@@ -583,15 +582,14 @@ class TestInexactGradient:
 
     def test_warm_start_beats_zero_start(self, rng):
         model = make_model(n=64, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
-        run = rgd_line_search(
+        _, frames = framed_run(
             model,
             initial_frame(model.grid, 1, 7),
             tol=1e-6,
             max_iter=5,
             solver_config=reference_solver_config(),
-            log_frames=True,
         )
-        phi = run.frames[-1]
+        phi = frames[-1]
         op = DiscreteOperatorA.at(model, phi)
         a_phi = op.apply(phi)
         lam = outer_product(phi, a_phi)
@@ -616,18 +614,17 @@ class TestDcmDirection:
 
     def test_limit_approaches_gradient_near_convergence(self):
         model = make_model(n=128, length=1.0, omega=10.0, kappa=100.0, n_orbitals=1)
-        run = rgd_line_search(
+        run, frames = framed_run(
             model,
             initial_frame(model.grid, 1, 7),
             direction_kind="dcm",
             tol=1e-4,
             max_iter=2000,
             solver_config=reference_solver_config(),
-            log_frames=True,
         )
         assert run.converged
         dists = []
-        for frame in run.frames[-6:]:
+        for frame in frames[-6:]:
             op = DiscreteOperatorA.at(model, frame)
             ainv = dense_a_solve(model, frame)
             a_phi = op.apply(frame)
@@ -726,7 +723,7 @@ class TestSafeguard:
         # Along some inexact directions of this run that descend, the ambient
         # derivative <A phi - s phi, eta> is positive; a safeguard testing it
         # falls back to the exact gradient 11 times here.
-        _, run, exact_calls = inexact_2d_run
+        _, run, _, exact_calls = inexact_2d_run
         assert run.converged
         assert run.history[-1].residual_h_norm <= 1e-6
         assert exact_calls == 0
