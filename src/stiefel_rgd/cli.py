@@ -247,6 +247,7 @@ def _parse_methods(config: dict) -> list:
         # rejects; a key its method's table lacks passes.
         for key, valid, need in (("tau", spec.get("tau", 1.0) > 0.0, "> 0"),
                                  ("fixed_iters", spec.get("fixed_iters", 1) >= 1, ">= 1"),
+                                 ("tol", spec["tol"] >= 0.0, ">= 0"),
                                  ("max_iter", spec["max_iter"] >= 0, ">= 0")):
             if not valid:
                 raise ConfigError(
@@ -291,7 +292,7 @@ def _run_method(model, phi0, spec, solver_config, diagnostics: Optional[list]) -
     if "fixed_iters" in spec:  # the inner budget of rgd_ls_inexact and dcm
         solver_config = dataclasses.replace(solver_config, fixed_iters=spec["fixed_iters"])
     kind = METHODS[spec["name"]][0]
-    run = steps(model, phi0, spec.get("params"), spec.get("tau"), kind or EXACT_GRAD,
+    run = steps(model, phi0, spec.get("params", spec.get("tau")), kind or EXACT_GRAD,
                 spec["retraction"], spec["tol"], spec["max_iter"], solver_config)
     return collect(model, run if diagnostics is None else _diagnosed(model, run, diagnostics))
 

@@ -5,15 +5,17 @@ the convergence diagnostics of two consecutive steps."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .directions import (EXACT_GRAD, FIXED_ITERS, CorrectionWindow, SearchDirection,
                          compute_direction)
-from .errors import ConvergenceError, NumericalError, OperatorNotSPDError
+from .errors import ConvergenceError, NumericalError, OperatorNotSPDError, ShapeError
 from .frames import Frame, GridSpec, density, inner_h, random_frame
 from .geometry import POLAR, retract, retract_qr_mgs
 from .models import EnergyModel, IterateState, a0_form, energy, multiplier_eigenvalues
@@ -185,8 +187,7 @@ class Step:
 def steps(
     model: EnergyModel,
     phi0: Frame,
-    params: Optional[LineSearchParams],
-    fixed_tau: Optional[float],
+    rule: Union[float, LineSearchParams],
     direction_kind: str,
     retraction: str,
     tol: float,
@@ -196,18 +197,25 @@ def steps(
     """The descent loop of both drivers and of the CLI, one Step per visited
     iterate.
 
+    ``rule`` is the step rule: a finite step size tau > 0 for fixed-step
+    descent, or the ``LineSearchParams`` of the line search. The call
+    checks ``rule``, ``tol`` (finite, >= 0) and ``max_iter`` (>= 0) and
+    raises ValueError, and raises ShapeError when ``phi0`` does not have
+    ``model.n_orbitals`` columns, before anything is evaluated; it then
+    returns the loop as a generator.
+
     Each pass evaluates the direction at the current iterate, stops on
     ``tol`` (whether or not that direction was found), on a failed Krylov
     solve of the direction (its record counts the failed solve's steps,
     when the error reports them), on a degenerate frame or at
     ``max_iter``, and otherwise hands the trial step to
-    ``line_search``: ``fixed_tau`` with ``params`` None, else the
-    alternating BB step (``gamma0`` at the first iterate). It yields one
-    Step per visited iterate, whose record holds the step and backtracks
-    that left it; the run's last step carries its termination. Every
-    direction solves with ``config``, except that an inexact or DCM run
-    given a tolerance-mode config truncates it at ``FIXED_ITERS`` steps, a
-    copy built once here. An exact-gradient run also builds here the one
+    ``line_search``: tau for a fixed step, else the alternating BB step
+    (``gamma0`` at the first iterate). It yields one Step per visited
+    iterate, whose record holds the step and backtracks that left it; the
+    run's last step carries its termination. Every direction solves with
+    ``config``, except that an inexact or DCM run given a tolerance-mode
+    config truncates it at ``FIXED_ITERS`` steps, a copy built once by the
+    generator. An exact-gradient run also builds there the one
     ``CorrectionWindow`` that every exact gradient projects its start onto
     and pushes its correction into; the other kinds get none. With a fixed
     step the reference pair stays (c_n, q_n) = (E_n, 1); otherwise it
@@ -215,8 +223,22 @@ def steps(
     generator keeps no step it has yielded, and runs nothing until the
     first one is asked for.
     """
+    if not (isinstance(rule, LineSearchParams) or (
+            isinstance(rule, Real) and not isinstance(rule, bool) and 0.0 < rule < math.inf)):
+        raise ValueError(f"rule must be a LineSearchParams or a finite step > 0, got {rule!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
+    if phi0.n_orbitals != model.n_orbitals:
+        raise ShapeError(f"start frame has {phi0.n_orbitals} orbitals, the model "
+                         f"{model.n_orbitals}")
+    return _steps(model, phi0, rule, direction_kind, retraction, tol, max_iter, config)
+
+
+def _steps(model, phi0, rule, direction_kind, retraction, tol, max_iter, config):
+    """The generator ``steps`` returns, on arguments it has checked."""
+    params = rule if isinstance(rule, LineSearchParams) else None
     if direction_kind != EXACT_GRAD and config.fixed_iters is None:
         config = replace(config, fixed_iters=FIXED_ITERS)
     window = (CorrectionWindow(phi0.grid.n_dof, phi0.n_orbitals)
@@ -246,7 +268,7 @@ def steps(
             termination = TERMINATION_RESIDUAL
         if termination is None:
             if params is None:
-                gamma = fixed_tau
+                gamma = rule
             elif n == 0:
                 gamma = max(params.gamma_min, min(params.gamma0, params.gamma_max))
             else:
@@ -300,13 +322,12 @@ def rgd_fixed_step(
     Every step is the one untested trial ``line_search`` makes at ``tau``
     along the exact gradient, so the run ends on ``tol``, at ``max_iter``, on
     a failed solve or on a degenerate frame, never by a line-search failure;
-    its records carry (c_n, q_n) = (E_n, 1) and 0 backtracks.
+    its records carry (c_n, q_n) = (E_n, 1) and 0 backtracks. ``steps``
+    rejects a ``tau`` that is not finite and positive.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     config = solver_config if solver_config is not None else SolveConfig()
-    return collect(model, steps(model, phi0, None, tau, EXACT_GRAD, retraction,
-                                tol, max_iter, config))
+    return collect(model, steps(model, phi0, tau, EXACT_GRAD, retraction, tol,
+                                max_iter, config))
 
 
 def rgd_line_search(
@@ -334,7 +355,7 @@ def rgd_line_search(
     """
     params = params if params is not None else LineSearchParams()
     config = solver_config if solver_config is not None else SolveConfig()
-    return collect(model, steps(model, phi0, params, None, direction_kind, retraction, tol,
+    return collect(model, steps(model, phi0, params, direction_kind, retraction, tol,
                                 max_iter, config))
 
 

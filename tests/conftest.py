@@ -381,8 +381,8 @@ def framed_run(model, phi0, tau=None, direction_kind=EXACT_GRAD, tol=1e-6, max_i
     pass through the CLI's ``--log-frames`` pass-through, which appends
     their streamed (r2, r3) rows to it."""
     config = solver_config if solver_config is not None else SolveConfig()
-    params = LineSearchParams() if tau is None else None
-    run = steps(model, phi0, params, tau, direction_kind, POLAR, tol, max_iter, config)
+    rule = LineSearchParams() if tau is None else tau
+    run = steps(model, phi0, rule, direction_kind, POLAR, tol, max_iter, config)
     if diagnostics is not None:
         run = _diagnosed(model, run, diagnostics)
     frames = []

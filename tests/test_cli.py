@@ -420,7 +420,8 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("max_iter", -1), ("tau", -0.1), ("tau", 0.0), ("fixed_iters", 0)])
+        "key, value",
+        [("max_iter", -1), ("tau", -0.1), ("tau", 0.0), ("fixed_iters", 0), ("tol", -1.0)])
     def test_method_value_out_of_range_rejected_before_any_run(
             self, tmp_path, capsys, key, value):
         # The second entry is rejected before the first runs and writes its CSV.

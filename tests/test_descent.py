@@ -36,7 +36,7 @@ from stiefel_rgd.descent import (
 from stiefel_rgd import descent, solvers
 from stiefel_rgd.cli import _diagnosed
 from stiefel_rgd.directions import DCM, EXACT_GRAD, FIXED_ITERS, INEXACT_GRAD, compute_direction
-from stiefel_rgd.errors import OperatorNotSPDError
+from stiefel_rgd.errors import OperatorNotSPDError, ShapeError
 from stiefel_rgd.frames import density
 from stiefel_rgd.geometry import POLAR, retract
 from stiefel_rgd.models import DiscreteOperatorA, IterateState, validate_coercivity
@@ -506,13 +506,71 @@ class TestDiagnostics:
     def test_exact_gradient_tangent_on_every_iterate(
             self, gpe_model, gpe_start, coupled_model, coupled_start):
         for model, phi0 in ((gpe_model, gpe_start), (coupled_model, coupled_start)):
-            taken = list(steps(model, phi0, LineSearchParams(), None, EXACT_GRAD, POLAR,
-                               RUN_TOL, 2000, reference_solver_config()))
+            taken = list(steps(model, phi0, LineSearchParams(), EXACT_GRAD, POLAR, RUN_TOL,
+                               2000, reference_solver_config()))
             run = collect(model, taken)
             assert run.converged and len(taken) == len(run.history)
             for step in taken:
                 # ten times the 1e-8 inner-solve tolerance
                 assert is_tangent(step.state.phi, step.direction.direction).skew_defect <= 1e-7
+
+
+class TestStepsArguments:
+    """``steps`` checks its step rule, ``tol``, ``max_iter`` and start frame
+    at the call, before anything is evaluated; a valid call evaluates
+    nothing until its first step is asked for."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The arguments of every energy evaluation of the loop."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy(*args)
+
+        monkeypatch.setattr(descent, "energy", counted)
+        return calls
+
+    @staticmethod
+    def call(rule=FIXED_TAU, tol=RUN_TOL, max_iter=10, orbitals=2):
+        """``steps`` on a 2-orbital model, from a frame with ``orbitals``
+        columns."""
+        model = make_model(n=32, length=1.0, omega=10.0, kappa=10.0, n_orbitals=2)
+        phi0 = initial_frame(model.grid, orbitals, 1)
+        return steps(model, phi0, rule, EXACT_GRAD, POLAR, tol, max_iter, DIRECT)
+
+    @pytest.mark.parametrize("rule", [0.0, -0.1, np.nan, np.inf, None, True],
+                             ids=["zero", "negative", "nan", "inf", "none", "bool"])
+    def test_invalid_step_rule_raises_at_call(self, evaluated, rule):
+        # A negative step climbs; None or True would run as no valid rule.
+        with pytest.raises(ValueError, match="rule"):
+            self.call(rule=rule)
+        assert not evaluated
+
+    @pytest.mark.parametrize("tol", [-1e-6, np.nan], ids=["negative", "nan"])
+    def test_invalid_tol_raises_at_call(self, evaluated, tol):
+        # Neither can ever be met, so the run would end only at max_iter.
+        with pytest.raises(ValueError, match="tol"):
+            self.call(tol=tol)
+        assert not evaluated
+
+    def test_negative_max_iter_raises_at_call(self, evaluated):
+        with pytest.raises(ValueError, match="max_iter"):
+            self.call(max_iter=-1)
+        assert not evaluated
+
+    def test_frame_with_other_orbital_count_raises_at_call(self, evaluated):
+        with pytest.raises(ShapeError, match="orbitals"):
+            self.call(orbitals=1)
+        assert not evaluated
+
+    @pytest.mark.parametrize("rule", [FIXED_TAU, 1, LineSearchParams()],
+                             ids=["tau", "int_tau", "line_search"])
+    def test_valid_call_evaluates_nothing_until_first_step(self, evaluated, rule):
+        run = self.call(rule=rule)
+        assert not evaluated
+        assert next(run).record.n == 0 and evaluated
 
 
 class TestStreamedSteps:
@@ -534,7 +592,7 @@ class TestStreamedSteps:
                 alive.append(sum(ref() is not None for ref in refs))
                 yield step
 
-        run = steps(model, phi0, LineSearchParams(), None, kind, POLAR, RUN_TOL, 2000,
+        run = steps(model, phi0, LineSearchParams(), kind, POLAR, RUN_TOL, 2000,
                     reference_solver_config())
         result = collect(model, watched(_diagnosed(model, run, rows) if diagnose else run))
         assert result.converged and len(alive) == len(result.history) > 10
